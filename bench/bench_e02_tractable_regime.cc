@@ -22,7 +22,7 @@ namespace {
 void ExportPipelineCounters(benchmark::State& state, const GraphDb& db,
                             const EcrpqQuery& query) {
   obs::Session session;
-  ReduceOptions options;
+  EvalOptions options;
   options.obs = &session;
   EvaluateViaCqReduction(db, query, /*use_treedec=*/true, options)
       .ValueOrDie();

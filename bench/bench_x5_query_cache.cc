@@ -17,10 +17,7 @@
 #include <benchmark/benchmark.h>
 
 #include <string>
-#include <vector>
 
-#include "automata/interner.h"
-#include "automata/regex.h"
 #include "common/obs.h"
 #include "common/rng.h"
 #include "eval/planner.h"
@@ -165,36 +162,6 @@ void BM_QueryMutatedGraph(benchmark::State& state) {
   ExportCacheCounters(state, db, query);
 }
 BENCHMARK(BM_QueryMutatedGraph)->Unit(benchmark::kMillisecond);
-
-// The DFA leg of the interner, isolated: no evaluation path determinizes
-// today, so the memo is exercised directly. Subset construction on
-// (a|b)*a(a|b)^k is the textbook exponential case (2^k DFA states).
-void RunDeterminize(benchmark::State& state, bool cold) {
-  Alphabet alphabet = Alphabet::OfChars("ab");
-  std::string pattern = "(a|b)*a";
-  for (int i = 0; i < 10; ++i) pattern += "(a|b)";
-  const Nfa nfa = CompileRegex(pattern, &alphabet).ValueOrDie();
-  const std::vector<Label> universe = {0, 1};
-  AutomatonInterner interner;
-  InternedNfa interned = interner.Intern(nfa);
-  if (!cold) interner.DeterminizeCached(interned, universe);
-  for (auto _ : state) {
-    if (cold) interner.Clear();
-    if (cold) interned = interner.Intern(nfa);
-    auto dfa = interner.DeterminizeCached(interned, universe);
-    benchmark::DoNotOptimize(dfa);
-  }
-  state.counters["nfa_states"] = nfa.NumStates();
-}
-
-void BM_DeterminizeCold(benchmark::State& state) {
-  RunDeterminize(state, true);
-}
-void BM_DeterminizeWarm(benchmark::State& state) {
-  RunDeterminize(state, false);
-}
-BENCHMARK(BM_DeterminizeCold)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_DeterminizeWarm)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace ecrpq

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <utility>
+#include <vector>
 
-#include "automata/ops.h"
 #include "common/hash.h"
 
 namespace ecrpq {
@@ -16,12 +16,6 @@ namespace {
 size_t NfaCostBytes(const Nfa& nfa) {
   return static_cast<size_t>(nfa.NumStates()) * 48 +
          nfa.NumTransitions() * sizeof(Nfa::Transition);
-}
-
-size_t DfaCostBytes(const Dfa& dfa) {
-  return static_cast<size_t>(dfa.NumStates()) * dfa.labels().size() *
-             sizeof(StateId) +
-         dfa.labels().size() * sizeof(Label) + dfa.NumStates() / 8 + 64;
 }
 
 uint64_t NextUniqueId() {
@@ -88,27 +82,6 @@ InternedNfa AutomatonInterner::Intern(const Nfa& nfa,
         return InternedNfa{std::move(canonical), NextUniqueId()};
       },
       [&](const InternedNfa&) { return cost; }, obs_shard);
-}
-
-std::shared_ptr<const Dfa> AutomatonInterner::DeterminizeCached(
-    const InternedNfa& interned, const std::vector<Label>& universe,
-    obs::MetricsShard* obs_shard) {
-  ECRPQ_CHECK(interned.nfa != nullptr)
-      << "DeterminizeCached: intern the NFA first";
-  std::string key;
-  key.reserve(8 + universe.size() * 8);
-  AppendU64(&key, interned.unique_id);
-  for (Label l : universe) AppendU64(&key, l);
-  return dfas_.GetOrInsert(
-      key,
-      [&] {
-        return std::make_shared<const Dfa>(
-            Determinize(*interned.nfa, universe));
-      },
-      [](const std::shared_ptr<const Dfa>& dfa) {
-        return DfaCostBytes(*dfa);
-      },
-      obs_shard);
 }
 
 }  // namespace ecrpq

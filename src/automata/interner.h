@@ -1,5 +1,5 @@
 // AutomatonInterner: cross-query canonicalization and deduplication of
-// NFAs, plus a memoized Determinize.
+// NFAs.
 //
 // Evaluating a server-shaped workload re-builds the same language automata
 // over and over (every CRPQ reach atom materializes one, every repeated
@@ -17,12 +17,8 @@
 //    memo keys on it) cannot suffer ABA: if the interner evicts an entry
 //    and later re-interns equal bytes, the new id is fresh and the stale
 //    downstream entries simply miss and age out.
-//  - DeterminizeCached memoizes the subset construction per
-//    (unique_id, label universe). The method is deliberately NOT named
-//    "Determinize(": the ecrpq-raw-determinize lint rule pattern-matches
-//    direct calls in src/eval/ and src/graphdb/, which must route here.
 //
-// Thread-safety: both maps live in ShardedLruCache (annotated mutexes);
+// Thread-safety: the map lives in a ShardedLruCache (annotated mutexes);
 // Intern uses the atomic GetOrInsert so racing threads agree on one
 // unique_id per canonical byte string.
 #ifndef ECRPQ_AUTOMATA_INTERNER_H_
@@ -31,9 +27,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
-#include "automata/dfa.h"
 #include "automata/nfa.h"
 #include "common/cache.h"
 #include "common/metrics.h"
@@ -56,11 +50,10 @@ std::string CanonicalNfaBytes(const Nfa& nfa);
 
 class AutomatonInterner {
  public:
-  static constexpr size_t kDefaultCapacityBytes = 16u << 20;  // 16 MiB.
+  static constexpr size_t kDefaultCapacityBytes = 8u << 20;  // 8 MiB.
 
   explicit AutomatonInterner(size_t capacity_bytes = kDefaultCapacityBytes)
-      : nfas_(capacity_bytes / 2, /*num_shards=*/8),
-        dfas_(capacity_bytes / 2, /*num_shards=*/8) {}
+      : nfas_(capacity_bytes, /*num_shards=*/8) {}
 
   // The process-wide instance every engine shares.
   static AutomatonInterner& Global();
@@ -70,31 +63,17 @@ class AutomatonInterner {
   // the downstream memo hits its id unlocks).
   InternedNfa Intern(const Nfa& nfa, obs::MetricsShard* obs_shard = nullptr);
 
-  // Memoized subset construction for `interned` over `universe` (sorted,
-  // superset of the NFA's labels — the Determinize contract).
-  std::shared_ptr<const Dfa> DeterminizeCached(
-      const InternedNfa& interned, const std::vector<Label>& universe,
-      obs::MetricsShard* obs_shard = nullptr);
-
   // Test/bench hook: drop all entries (unique-id counter keeps running).
-  void Clear() {
-    nfas_.Clear();
-    dfas_.Clear();
-  }
+  void Clear() { nfas_.Clear(); }
 
-  size_t SizeBytes() const { return nfas_.SizeBytes() + dfas_.SizeBytes(); }
+  size_t SizeBytes() const { return nfas_.SizeBytes(); }
 
   ShardedLruCache<std::string, InternedNfa, BytesHash>& nfa_cache() {
     return nfas_;
   }
-  ShardedLruCache<std::string, std::shared_ptr<const Dfa>, BytesHash>&
-  dfa_cache() {
-    return dfas_;
-  }
 
  private:
   ShardedLruCache<std::string, InternedNfa, BytesHash> nfas_;
-  ShardedLruCache<std::string, std::shared_ptr<const Dfa>, BytesHash> dfas_;
 };
 
 }  // namespace ecrpq

@@ -4,6 +4,13 @@
 #include <cmath>
 
 namespace ecrpq {
+namespace {
+
+// Phase 1 budgets for at most |V|^2 source tuples, however wide the
+// components are.
+constexpr int kCcVertexCap = 2;
+
+}  // namespace
 
 Result<EvalResult> EvaluateAdaptive(const GraphDb& db,
                                     const EcrpqQuery& query,
@@ -11,6 +18,8 @@ Result<EvalResult> EvaluateAdaptive(const GraphDb& db,
                                     AdaptiveReport* report) {
   const QueryClassification classification =
       ClassifyQuery(query, options.thresholds);
+  ECRPQ_RETURN_NOT_OK(
+      CheckOptionsForEngine(classification.engine, options.eval));
   if (report != nullptr) {
     report->classification = classification;
     report->fell_back = false;
@@ -19,8 +28,7 @@ Result<EvalResult> EvaluateAdaptive(const GraphDb& db,
   // Phase-1 budget: enough to cover an easy instance's reachable product
   // space, small enough to bail out before exponential blowup.
   const double n = std::max(1, db.NumVertices());
-  const int r = std::min(classification.measures.cc_vertex,
-                         options.cc_vertex_cap);
+  const int r = std::min(classification.measures.cc_vertex, kCcVertexCap);
   const double raw = options.budget_factor * std::pow(n, r) *
                      std::max(1, classification.measures.cc_hedge);
   // At least 1: a budget of 0 would mean "unlimited" downstream.
@@ -38,13 +46,31 @@ Result<EvalResult> EvaluateAdaptive(const GraphDb& db,
     report->fell_back = true;
     report->fallback_engine = classification.engine;
   }
+  EvalOptions fallback = options.eval;
   if (classification.engine == EngineChoice::kGeneric) {
     // PSPACE regime: nothing structurally better; lift the budget.
-    EvalOptions unbounded = options.eval;
-    unbounded.max_product_states = 0;
-    return EvaluateGeneric(db, query, unbounded);
+    fallback.max_product_states = 0;
   }
-  return EvaluatePlanned(db, query, options.eval, options.thresholds);
+  return Evaluate(db, query, classification.engine, fallback);
+}
+
+Result<EvalResult> EvaluateRoute(const GraphDb& db, const EcrpqQuery& query,
+                                 EngineRoute route, const EvalOptions& options,
+                                 AdaptiveReport* report) {
+  switch (route.kind) {
+    case EngineRoute::Kind::kAuto:
+      return EvaluatePlanned(db, query, options, {},
+                             report != nullptr ? &report->classification
+                                               : nullptr);
+    case EngineRoute::Kind::kAdaptive: {
+      AdaptiveOptions adaptive;
+      adaptive.eval = options;
+      return EvaluateAdaptive(db, query, adaptive, report);
+    }
+    case EngineRoute::Kind::kFixed:
+      return Evaluate(db, query, route.engine, options);
+  }
+  return Status::Internal("unknown engine route");
 }
 
 }  // namespace ecrpq

@@ -22,9 +22,8 @@
 namespace ecrpq {
 
 struct AdaptiveOptions {
-  // Budget for phase 1 as a multiple of |V|^min(cc_vertex, cap) · cc_hedge.
+  // Budget for phase 1 as a multiple of |V|^min(cc_vertex, 2) · cc_hedge.
   double budget_factor = 64.0;
-  int cc_vertex_cap = 2;
   EvalOptions eval;                 // max_answers etc.
   PlannerThresholds thresholds;
 };
@@ -36,10 +35,19 @@ struct AdaptiveReport {
   EngineChoice fallback_engine = EngineChoice::kGeneric;
 };
 
+// The generic-only options in `options.eval` are checked up front
+// against the fallback engine (CheckOptionsForEngine).
 Result<EvalResult> EvaluateAdaptive(const GraphDb& db,
                                     const EcrpqQuery& query,
                                     const AdaptiveOptions& options = {},
                                     AdaptiveReport* report = nullptr);
+
+// Evaluates on a named route (EngineRouteByName). `report` (optional)
+// receives the classification on the routes that classify (auto,
+// adaptive) and, on adaptive, the phase-1 outcome.
+Result<EvalResult> EvaluateRoute(const GraphDb& db, const EcrpqQuery& query,
+                                 EngineRoute route, const EvalOptions& options,
+                                 AdaptiveReport* report = nullptr);
 
 }  // namespace ecrpq
 

@@ -5,7 +5,6 @@
 
 #include "automata/interner.h"
 #include "cq/cq.h"
-#include "cq/eval_backtrack.h"
 #include "cq/eval_treedec.h"
 #include "cq/relational_db.h"
 #include "graphdb/reach_memo.h"
@@ -16,8 +15,8 @@
 namespace ecrpq {
 
 Result<EvalResult> EvaluateCrpq(const GraphDb& db, const EcrpqQuery& query,
-                                bool use_treedec, size_t max_answers,
-                                obs::Session* obs, bool disable_cache) {
+                                const EvalOptions& options) {
+  obs::Session* obs = options.obs;
   obs::Span span(obs != nullptr ? obs->trace() : nullptr, "EvaluateCrpq");
   obs::MetricsShard* shard =
       obs != nullptr ? obs->metrics().AcquireShard() : nullptr;
@@ -89,7 +88,7 @@ Result<EvalResult> EvaluateCrpq(const GraphDb& db, const EcrpqQuery& query,
       // interned (normalized) automaton yields byte-identical rows.
       obs::ScopedTimer reduce_timer(shard, obs::HistogramId::kPhaseReduceNs);
       const std::vector<std::pair<VertexId, VertexId>> rows =
-          disable_cache
+          options.disable_cache
               ? RpqReachAll(db, lang, /*num_threads=*/0, obs)
               : RpqReachAllCached(
                     db, AutomatonInterner::Global().Intern(lang, shard),
@@ -107,13 +106,11 @@ Result<EvalResult> EvaluateCrpq(const GraphDb& db, const EcrpqQuery& query,
   }
   rdb.FinalizeAll();
 
-  CqEvalOptions options;
-  options.max_answers = query.IsBoolean() ? 1 : max_answers;
-  options.obs = obs;
+  CqEvalOptions cq_options;
+  cq_options.max_answers = query.IsBoolean() ? 1 : options.max_answers;
+  cq_options.obs = obs;
   ECRPQ_ASSIGN_OR_RAISE(CqEvalResult cq_result,
-                        use_treedec
-                            ? CqEvaluateTreeDec(rdb, cq, options)
-                            : CqEvaluateBacktracking(rdb, cq, options));
+                        CqEvaluateTreeDec(rdb, cq, cq_options));
   out.satisfiable = cq_result.satisfiable;
   out.aborted = cq_result.aborted;
   for (auto& answer : cq_result.answers) {

@@ -12,22 +12,21 @@
 
 namespace ecrpq {
 
-// Errors with InvalidArgument if !query.IsCrpq(). `use_treedec` selects the
-// tree-decomposition CQ engine (polynomial for bounded-treewidth queries)
-// over the backtracking engine. A non-null `obs` session observes the
-// per-atom relation builds and the CQ phase and enforces the session budget
-// (Status::ResourceExhausted on trip).
+// Errors with InvalidArgument if !query.IsCrpq(). The CQ over the R_L
+// relations runs on the tree-decomposition engine (polynomial for
+// bounded-treewidth queries) and stops after options.max_answers answers.
+// A non-null options.obs session observes the per-atom relation builds and
+// the CQ phase and enforces the session budget (Status::ResourceExhausted
+// on trip).
 //
 // By default each reach atom's language NFA is interned (shared across
 // queries, see automata/interner.h) and its per-source reach sets are
 // served from the epoch-keyed global reach memo (graphdb/reach_memo.h).
-// `disable_cache` bypasses both — answers are byte-identical either way;
-// the flag exists for ablation and the ecrpq_cli --no-cache escape hatch.
+// options.disable_cache bypasses both — answers are byte-identical either
+// way; the flag exists for ablation and the ecrpq_cli --no-cache escape
+// hatch.
 Result<EvalResult> EvaluateCrpq(const GraphDb& db, const EcrpqQuery& query,
-                                bool use_treedec = true,
-                                size_t max_answers = 0,
-                                obs::Session* obs = nullptr,
-                                bool disable_cache = false);
+                                const EvalOptions& options = {});
 
 }  // namespace ecrpq
 

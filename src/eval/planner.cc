@@ -152,6 +152,37 @@ QueryClassification ClassifyQueryCached(const EcrpqQuery& query,
   return c;
 }
 
+Status CheckOptionsForEngine(EngineChoice engine, const EvalOptions& options) {
+  if (engine == EngineChoice::kGeneric ||
+      (options.pin.empty() && !options.on_answer &&
+       !options.capture_assignment)) {
+    return Status::OK();
+  }
+  return Status::Invalid(
+      std::string("pin, on_answer and capture_assignment need the generic "
+                  "engine, not ") +
+      EngineChoiceName(engine));
+}
+
+Result<EvalResult> Evaluate(const GraphDb& db, const EcrpqQuery& query,
+                            EngineChoice engine, const EvalOptions& options) {
+  ECRPQ_RETURN_NOT_OK(CheckOptionsForEngine(engine, options));
+  EvalOptions pipeline = options;
+  pipeline.num_threads = 0;  // Default pool: only generic takes num_threads.
+  switch (engine) {
+    case EngineChoice::kCrpqPipeline:
+      return EvaluateCrpq(db, query, pipeline);
+    case EngineChoice::kCqReduction:
+      return EvaluateViaCqReduction(db, query, /*use_treedec=*/true, pipeline);
+    case EngineChoice::kCqReductionNp:
+      return EvaluateViaCqReduction(db, query, /*use_treedec=*/false,
+                                    pipeline);
+    case EngineChoice::kGeneric:
+      return EvaluateGeneric(db, query, options);
+  }
+  return Status::Internal("unknown engine choice");
+}
+
 Result<EvalResult> EvaluatePlanned(const GraphDb& db, const EcrpqQuery& query,
                                    const EvalOptions& options,
                                    const PlannerThresholds& thresholds,
@@ -162,24 +193,25 @@ Result<EvalResult> EvaluatePlanned(const GraphDb& db, const EcrpqQuery& query,
       options.disable_cache ? ClassifyQuery(query, thresholds)
                             : ClassifyQueryCached(query, thresholds, shard);
   if (classification_out != nullptr) *classification_out = c;
-  ReduceOptions reduce_options;
-  reduce_options.max_product_states = options.max_product_states;
-  reduce_options.obs = options.obs;
-  switch (c.engine) {
-    case EngineChoice::kCrpqPipeline:
-      return EvaluateCrpq(db, query, /*use_treedec=*/true,
-                          options.max_answers, options.obs,
-                          options.disable_cache);
-    case EngineChoice::kCqReduction:
-      return EvaluateViaCqReduction(db, query, /*use_treedec=*/true,
-                                    reduce_options, options.max_answers);
-    case EngineChoice::kCqReductionNp:
-      return EvaluateViaCqReduction(db, query, /*use_treedec=*/false,
-                                    reduce_options, options.max_answers);
-    case EngineChoice::kGeneric:
-      return EvaluateGeneric(db, query, options);
+  return Evaluate(db, query, c.engine, options);
+}
+
+Result<EngineRoute> EngineRouteByName(std::string_view name) {
+  using Kind = EngineRoute::Kind;
+  static constexpr struct {
+    std::string_view name;
+    EngineRoute route;
+  } kRoutes[] = {
+      {"auto", {Kind::kAuto}},
+      {"adaptive", {Kind::kAdaptive}},
+      {"generic", {Kind::kFixed, EngineChoice::kGeneric}},
+      {"crpq", {Kind::kFixed, EngineChoice::kCrpqPipeline}},
+      {"cq", {Kind::kFixed, EngineChoice::kCqReduction}},
+  };
+  for (const auto& entry : kRoutes) {
+    if (entry.name == name) return entry.route;
   }
-  return Status::Internal("unknown engine choice");
+  return Status::Invalid("unknown engine '" + std::string(name) + "'");
 }
 
 }  // namespace ecrpq

@@ -13,6 +13,7 @@
 #define ECRPQ_EVAL_PLANNER_H_
 
 #include <string>
+#include <string_view>
 
 #include "common/cache.h"
 #include "common/hash.h"
@@ -96,12 +97,39 @@ PlanCache& GlobalPlanCache();
 // already make stale reach entries unreachable).
 void ClearGlobalCaches();
 
-// Classifies and routes. `classification_out` (optional) receives the plan.
+// The one dispatch over EngineChoice: runs `query` on `engine`. The
+// generic-only options (pin, on_answer, capture_assignment) are
+// InvalidArgument on any other engine rather than silently dropped.
+Result<EvalResult> Evaluate(const GraphDb& db, const EcrpqQuery& query,
+                            EngineChoice engine,
+                            const EvalOptions& options = {});
+
+// The check Evaluate applies up front, for callers (EvaluateAdaptive) that
+// commit to `engine` before calling it.
+Status CheckOptionsForEngine(EngineChoice engine, const EvalOptions& options);
+
+// Classifies, then Evaluate()s on the classification's engine.
+// `classification_out` (optional) receives the plan.
 Result<EvalResult> EvaluatePlanned(const GraphDb& db, const EcrpqQuery& query,
                                    const EvalOptions& options = {},
                                    const PlannerThresholds& thresholds = {},
                                    QueryClassification* classification_out =
                                        nullptr);
+
+// What an engine name selects: the regime route (EvaluatePlanned), the
+// budgeted adaptive route (EvaluateAdaptive, eval/adaptive.h) or one fixed
+// engine (Evaluate).
+struct EngineRoute {
+  enum class Kind { kAuto, kAdaptive, kFixed };
+  Kind kind = Kind::kAuto;
+  EngineChoice engine = EngineChoice::kGeneric;  // kFixed only.
+};
+
+// The engine-name table behind `ecrpq_cli eval|profile --engine=` and the
+// service's "engine" field: auto, adaptive, generic, crpq, cq (the Lemma 4.3
+// tree-decomposition route). Any other name is InvalidArgument
+// "unknown engine '<name>'".
+Result<EngineRoute> EngineRouteByName(std::string_view name);
 
 }  // namespace ecrpq
 

@@ -18,14 +18,14 @@
 namespace ecrpq {
 namespace {
 
-obs::Trace* TraceOf(const ReduceOptions& options) {
+obs::Trace* TraceOf(const EvalOptions& options) {
   return options.obs != nullptr ? options.obs->trace() : nullptr;
 }
 
 }  // namespace
 
 Result<CqReduction> ReduceToCq(const GraphDb& db, const EcrpqQuery& query,
-                               const ReduceOptions& options) {
+                               const EvalOptions& options) {
   obs::Span span(TraceOf(options), "ReduceToCq");
   obs::MetricsShard* shard = options.obs != nullptr
                                  ? options.obs->metrics().AcquireShard()
@@ -53,7 +53,6 @@ Result<CqReduction> ReduceToCq(const GraphDb& db, const EcrpqQuery& query,
   }
   const int num_workers = pool != nullptr ? threads : 1;
 
-  size_t total_tuples = 0;
   for (size_t c = 0; c < plans.size() && n > 0; ++c) {
     const ComponentPlan& plan = plans[c];
     const int r = static_cast<int>(plan.paths.size());
@@ -177,12 +176,7 @@ Result<CqReduction> ReduceToCq(const GraphDb& db, const EcrpqQuery& query,
           }
           if (!coincides) continue;
           rel->Add(row);
-          ++total_tuples;
           obs::Add(shard, obs::CounterId::kTuplesMaterialized);
-          if (options.max_tuples != 0 && total_tuples > options.max_tuples) {
-            return Status::CapacityExceeded(
-                "materialized relations exceeded the tuple budget");
-          }
         }
       }
       if (options.obs != nullptr && options.obs->CheckBudget()) {
@@ -202,8 +196,7 @@ Result<CqReduction> ReduceToCq(const GraphDb& db, const EcrpqQuery& query,
 Result<EvalResult> EvaluateViaCqReduction(const GraphDb& db,
                                           const EcrpqQuery& query,
                                           bool use_treedec,
-                                          const ReduceOptions& options,
-                                          size_t max_answers) {
+                                          const EvalOptions& options) {
   EvalResult out;
   if (db.NumVertices() == 0) {
     out.satisfiable = (query.NumNodeVars() == 0);
@@ -212,7 +205,7 @@ Result<EvalResult> EvaluateViaCqReduction(const GraphDb& db,
   }
   ECRPQ_ASSIGN_OR_RAISE(CqReduction reduction, ReduceToCq(db, query, options));
   CqEvalOptions cq_options;
-  cq_options.max_answers = query.IsBoolean() ? 1 : max_answers;
+  cq_options.max_answers = query.IsBoolean() ? 1 : options.max_answers;
   cq_options.obs = options.obs;
   obs::Span cq_span(TraceOf(options), "EvaluateReducedCq");
   ECRPQ_ASSIGN_OR_RAISE(

@@ -35,36 +35,23 @@ struct CqReduction {
   size_t product_states = 0;
 };
 
-struct ReduceOptions {
-  // Abort when the materialized relations exceed this many tuples in total
-  // (0 = unlimited).
-  size_t max_tuples = 0;
-  // Per-source search budget (0 = unlimited).
-  size_t max_product_states = 0;
-  // Worker threads for the per-source-tuple searches of the leaf-relation
-  // materialization: 0 = ECRPQ_THREADS / hardware default, 1 = sequential.
-  // The materialized relations (and any budget error) are identical for
-  // every value: batches of source tuples are searched concurrently but
-  // merged in enumeration order.
-  int num_threads = 0;
-  // Observability & resource-governance session (common/obs.h). A tripped
-  // budget turns into Status::ResourceExhausted (distinct from the
-  // CapacityExceeded of max_tuples / max_product_states above); the partial
-  // StatsReport stays readable via the session. Null = zero overhead.
-  obs::Session* obs = nullptr;
-};
-
+// Reads options.num_threads, max_product_states and obs. The materialized
+// relations and any budget error are identical for every num_threads:
+// batches of source tuples are searched concurrently but merged in
+// enumeration order. A per-source search beyond max_product_states is
+// CapacityExceeded; a tripped session budget is ResourceExhausted, and the
+// partial StatsReport stays readable via the session.
 Result<CqReduction> ReduceToCq(const GraphDb& db, const EcrpqQuery& query,
-                               const ReduceOptions& options = {});
+                               const EvalOptions& options = {});
 
 // End-to-end: reduce, then evaluate the CQ with the tree-decomposition
-// engine (use_treedec) or the backtracking engine. This is the paper's
-// polynomial-time / NP pipeline for bounded-cc queries.
+// engine (use_treedec) or the backtracking engine, stopping after
+// options.max_answers answers. This is the paper's polynomial-time / NP
+// pipeline for bounded-cc queries.
 Result<EvalResult> EvaluateViaCqReduction(const GraphDb& db,
                                           const EcrpqQuery& query,
                                           bool use_treedec = true,
-                                          const ReduceOptions& options = {},
-                                          size_t max_answers = 0);
+                                          const EvalOptions& options = {});
 
 }  // namespace ecrpq
 

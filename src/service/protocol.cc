@@ -5,6 +5,7 @@
 #include <set>
 
 #include "common/json.h"
+#include "eval/planner.h"
 
 namespace ecrpq {
 namespace {
@@ -180,10 +181,7 @@ Result<ServiceRequest> ParseRequestLine(std::string_view line) {
         return Status::Invalid("op 'query' requires a 'query' string");
       }
       ECRPQ_RETURN_NOT_OK(GetStringField(doc, "engine", &req.engine));
-      if (req.engine != "auto" && req.engine != "generic" &&
-          req.engine != "crpq") {
-        return Status::Invalid("unknown engine '" + req.engine + "'");
-      }
+      ECRPQ_RETURN_NOT_OK(EngineRouteByName(req.engine).status());
       ECRPQ_RETURN_NOT_OK(
           GetUintField(doc, "max_answers", ~uint64_t{0} >> 1,
                        &req.max_answers));

@@ -81,7 +81,9 @@ struct ServiceRequest {
 
   // op == kQuery.
   std::string query;
-  std::string engine = "auto";  // auto | generic | crpq.
+  // A name of the EngineRouteByName table (eval/planner.h): auto |
+  // adaptive | generic | crpq | cq.
+  std::string engine = "auto";
   uint64_t max_answers = 0;
   obs::EvalBudget budget;  // Zero axes fall back to the service default.
   bool no_cache = false;

@@ -11,9 +11,7 @@
 #include "common/dcheck.h"
 #include "common/hash.h"
 #include "common/json.h"
-#include "eval/crpq_eval.h"
-#include "eval/generic_eval.h"
-#include "eval/planner.h"
+#include "eval/adaptive.h"
 #include "graphdb/io.h"
 #include "graphdb/reach_memo.h"
 #include "query/parser.h"
@@ -243,10 +241,9 @@ void QueryService::RegisterTelemetryGroups() {
     g.emplace_back("plan_bytes", plan_cache.SizeBytes());
     AutomatonInterner& interner = AutomatonInterner::Global();
     const auto nfa = interner.nfa_cache().GetStats();
-    const auto dfa = interner.dfa_cache().GetStats();
-    g.emplace_back("interner_hits", nfa.hits + dfa.hits);
-    g.emplace_back("interner_misses", nfa.misses + dfa.misses);
-    g.emplace_back("interner_evictions", nfa.evictions + dfa.evictions);
+    g.emplace_back("interner_hits", nfa.hits);
+    g.emplace_back("interner_misses", nfa.misses);
+    g.emplace_back("interner_evictions", nfa.evictions);
     g.emplace_back("interner_bytes", interner.SizeBytes());
     ReachMemo& memo = ReachMemo::Global();
     const auto reach = memo.cache().GetStats();
@@ -467,36 +464,23 @@ Result<std::string> ServiceSession::ExecuteQuery(const ServiceRequest& req) {
       session.SetBudget(budget);
       ev.budget_outcome = "ok";
     }
-    const bool no_cache = req.no_cache || service_->config_.disable_cache;
-
-    Result<EvalResult> result = Status::Internal("unset");
-    QueryClassification classification;
-    bool classified = false;
-    {
+    ECRPQ_ASSIGN_OR_RAISE(const EngineRoute route,
+                          EngineRouteByName(req.engine));
+    EvalOptions options;
+    options.num_threads = service_->config_.pool_threads;
+    options.max_answers = static_cast<size_t>(req.max_answers);
+    options.disable_cache = req.no_cache || service_->config_.disable_cache;
+    options.obs = &session;
+    AdaptiveReport report;
+    Result<EvalResult> result = [&] {
       // The request-level span everything the engines record nests under.
       obs::Span request_span(session.trace(), "service_request");
-      if (req.engine == "generic") {
-        EvalOptions options;
-        options.num_threads = service_->config_.pool_threads;
-        options.max_answers = static_cast<size_t>(req.max_answers);
-        options.disable_cache = no_cache;
-        options.obs = &session;
-        result = EvaluateGeneric(db, *query, options);
-      } else if (req.engine == "crpq") {
-        result = EvaluateCrpq(db, *query, /*use_treedec=*/true,
-                              static_cast<size_t>(req.max_answers), &session,
-                              no_cache);
-      } else {  // "auto": the planner routes through ClassifyQueryCached.
-        EvalOptions options;
-        options.num_threads = service_->config_.pool_threads;
-        options.max_answers = static_cast<size_t>(req.max_answers);
-        options.disable_cache = no_cache;
-        options.obs = &session;
-        result = EvaluatePlanned(db, *query, options, {}, &classification);
-        classified = true;
-      }
+      return EvaluateRoute(db, *query, route, options, &report);
+    }();
+    const bool classified = route.kind != EngineRoute::Kind::kFixed;
+    if (classified && telemetry) {
+      ev.verdict_json = report.classification.ToJson();
     }
-    if (classified && telemetry) ev.verdict_json = classification.ToJson();
 
     if (!result.ok()) {
       if (result.status().code() == StatusCode::kResourceExhausted) {
@@ -532,7 +516,7 @@ Result<std::string> ServiceSession::ExecuteQuery(const ServiceRequest& req) {
     b.AddUint("num_answers", result->answers.size());
     b.AddRaw("answers", AnswersToJson(result->answers));
     if (classified) {
-      b.AddString("engine", EngineChoiceName(classification.engine));
+      b.AddString("engine", EngineChoiceName(report.classification.engine));
     }
     if (req.want_stats) {
       b.AddRaw("stats", session.Report().ToJson());

@@ -76,7 +76,11 @@ class ServiceSession;
 
 struct ServiceConfig {
   // Worker threads per evaluation (EvalOptions::num_threads semantics:
-  // 0 = ECRPQ_THREADS / hardware default, 1 = sequential).
+  // 0 = ECRPQ_THREADS / hardware default, 1 = sequential). Only the
+  // generic engine reads it; the CRPQ pipeline and the Lemma 4.3 routes
+  // materialize on the default pool. Measured on 4 cores, a pool of 1 on
+  // those routes doubled read_write's query p50 and warm setup time
+  // (docs/ARCHITECTURE.md §7).
   int pool_threads = 0;
   AdmissionLimits admission;
   // Per-query budget axes applied when a request leaves them 0. All-zero

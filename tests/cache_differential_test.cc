@@ -99,10 +99,9 @@ TEST_P(CacheDifferentialSuite, CrpqFastPathCacheOnOffByteIdentical) {
   const GraphDb db = RandomDb(&rng);
 
   ClearGlobalCaches();
-  const EvalResult reference =
-      EvaluateCrpq(db, query, /*use_treedec=*/true, /*max_answers=*/0,
-                   /*obs=*/nullptr, /*disable_cache=*/true)
-          .ValueOrDie();
+  EvalOptions off;
+  off.disable_cache = true;
+  const EvalResult reference = EvaluateCrpq(db, query, off).ValueOrDie();
   for (int round = 0; round < 2; ++round) {
     const EvalResult cached = EvaluateCrpq(db, query).ValueOrDie();
     ASSERT_EQ(reference.answers, cached.answers)

@@ -1,7 +1,7 @@
 // The cross-query caching layer: sharded LRU invariants (byte budget,
-// eviction order, oversized rejection), the automaton interner's dedup and
-// DFA memo, the epoch-keyed reach-set memo's staleness guarantee, and the
-// plan cache's canonical-key sharing. The concurrent tests run under TSan
+// eviction order, oversized rejection), the automaton interner's dedup,
+// the epoch-keyed reach-set memo's staleness guarantee, and the plan
+// cache's canonical-key sharing. The concurrent tests run under TSan
 // in CI (tools/ci.sh stage 5).
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "automata/interner.h"
-#include "automata/ops.h"
 #include "automata/regex.h"
 #include "common/cache.h"
 #include "common/hash.h"
@@ -189,33 +188,6 @@ TEST(AutomatonInternerTest, DistinctLanguagesGetDistinctIds) {
   const InternedNfa a = interner.Intern(ChainNfa(false));
   const InternedNfa b = interner.Intern(other);
   EXPECT_NE(a.unique_id, b.unique_id);
-}
-
-TEST(AutomatonInternerTest, DeterminizeCachedMatchesDirectSubsetConstruction) {
-  Alphabet alphabet = Alphabet::OfChars("ab");
-  const Nfa nfa =
-      CompileRegex("(a|b)*a(a|b)", &alphabet).ValueOrDie();
-  const std::vector<Label> universe = {0, 1};
-  AutomatonInterner interner;
-  const InternedNfa interned = interner.Intern(nfa);
-  const std::shared_ptr<const Dfa> cached =
-      interner.DeterminizeCached(interned, universe);
-  const Dfa direct = Determinize(*interned.nfa, universe);
-  // Same language on every word up to length 6.
-  std::vector<Label> word;
-  for (int coded = 0; coded < (1 << 7); ++coded) {
-    word.clear();
-    int bits = coded;
-    while (bits > 1) {
-      word.push_back(static_cast<Label>(bits & 1));
-      bits >>= 1;
-    }
-    EXPECT_EQ(cached->Accepts(word), direct.Accepts(word));
-    EXPECT_EQ(cached->Accepts(word), interned.nfa->Accepts(word));
-  }
-  // Second call is a hit: the exact same DFA instance comes back.
-  EXPECT_EQ(interner.DeterminizeCached(interned, universe).get(),
-            cached.get());
 }
 
 TEST(AutomatonInternerTest, ConcurrentInternAgreesOnOneId) {

@@ -176,7 +176,7 @@ TEST_P(DifferentialSuite, PipelineWithObsAgreesWithOracle) {
   ASSERT_TRUE(naive.ok()) << naive.status();
 
   obs::Session session;
-  ReduceOptions options;
+  EvalOptions options;
   options.obs = &session;
   Result<EvalResult> piped =
       EvaluateViaCqReduction(db, *q, /*use_treedec=*/true, options);
@@ -241,7 +241,7 @@ TEST_P(DifferentialSuite, PipelineSizeHistogramsPoolSizeInvariant) {
 
   auto run = [&](int threads) -> std::pair<EvalResult, obs::StatsReport> {
     obs::Session session;
-    ReduceOptions options;
+    EvalOptions options;
     options.obs = &session;
     options.num_threads = threads;
     Result<EvalResult> result =

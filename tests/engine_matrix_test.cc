@@ -76,6 +76,21 @@ TEST_P(EngineMatrixTest, AllApplicableEnginesAgree) {
   } else {
     EXPECT_FALSE(EvaluateCrpq(db, named.query).ok());
   }
+
+  // The one dispatch path, engine by engine.
+  for (EngineChoice engine :
+       {EngineChoice::kCrpqPipeline, EngineChoice::kCqReduction,
+        EngineChoice::kCqReductionNp, EngineChoice::kGeneric}) {
+    SCOPED_TRACE(EngineChoiceName(engine));
+    const Result<EvalResult> routed = Evaluate(db, named.query, engine, {});
+    if (engine == EngineChoice::kCrpqPipeline && !named.query.IsCrpq()) {
+      EXPECT_FALSE(routed.ok());
+      continue;
+    }
+    ASSERT_TRUE(routed.ok()) << routed.status();
+    EXPECT_EQ(generic.satisfiable, routed->satisfiable);
+    EXPECT_EQ(generic.answers, routed->answers);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -6,6 +6,7 @@
 #include "eval/crpq_eval.h"
 #include "eval/explain.h"
 #include "eval/generic_eval.h"
+#include "eval/planner.h"
 #include "eval/reduce_to_cq.h"
 #include "eval/satisfiability.h"
 #include "graphdb/generators.h"
@@ -60,16 +61,45 @@ TEST(ErrorPathsTest, ReductionBudgets) {
   const GraphDb db = CycleGraph(6, "ab");
   const EcrpqQuery q =
       Parse("q() := x -[p1]-> y, x -[p2]-> y, eqlen(p1, p2)");
-  ReduceOptions options;
-  options.max_tuples = 1;
+  EvalOptions options;
+  options.max_product_states = 1;
   Result<CqReduction> r = ReduceToCq(db, q, options);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCapacityExceeded);
-  options.max_tuples = 0;
-  options.max_product_states = 1;
-  r = ReduceToCq(db, q, options);
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kCapacityExceeded);
+}
+
+TEST(ErrorPathsTest, GenericOnlyOptionsRejectedOffTheGenericEngine) {
+  // A pinned CRPQ routes to the CRPQ pipeline, which cannot pin: the
+  // planner must refuse rather than return the unpinned answer set.
+  const GraphDb db = CycleGraph(3, "ab");
+  const EcrpqQuery crpq = Parse("q(x) := x -[/a/]-> y");
+  EvalOptions pinned;
+  pinned.pin = {{0, 0}};
+  Result<EvalResult> planned = EvaluatePlanned(db, crpq, pinned);
+  ASSERT_FALSE(planned.ok());
+  EXPECT_EQ(planned.status().code(), StatusCode::kInvalidArgument);
+
+  EvalOptions streamed;
+  streamed.on_answer = [](const std::vector<VertexId>&) { return true; };
+  EvalOptions captured;
+  captured.capture_assignment = true;
+  for (const EvalOptions* options : {&pinned, &streamed, &captured}) {
+    for (EngineChoice engine :
+         {EngineChoice::kCrpqPipeline, EngineChoice::kCqReduction,
+          EngineChoice::kCqReductionNp}) {
+      Result<EvalResult> r = Evaluate(db, crpq, engine, *options);
+      ASSERT_FALSE(r.ok()) << EngineChoiceName(engine);
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    }
+    EXPECT_TRUE(Evaluate(db, crpq, EngineChoice::kGeneric, *options).ok());
+  }
+
+  // The adaptive route checks up front, against its fallback engine.
+  AdaptiveOptions adaptive;
+  adaptive.eval = pinned;
+  Result<EvalResult> r = EvaluateAdaptive(db, crpq, adaptive);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ErrorPathsTest, InvalidQueriesRejectedBeforeEvaluation) {

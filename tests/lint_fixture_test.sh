@@ -46,9 +46,6 @@ check dcheck_side_effect_fires 1 "[ecrpq-dcheck-side-effects]" \
 check raw_worklist_fires 1 "[ecrpq-raw-worklist]" \
     ${LINT} --treat-as-worklist-scope bad_raw_worklist.cc \
     "${FIXTURES}/bad_raw_worklist.cc"
-check raw_determinize_fires 1 "[ecrpq-raw-determinize]" \
-    ${LINT} --treat-as-determinize-scope bad_raw_determinize.cc \
-    "${FIXTURES}/bad_raw_determinize.cc"
 check raw_logging_fires 1 "[ecrpq-raw-logging]" \
     ${LINT} --treat-as-logging-scope bad_raw_logging.cc \
     "${FIXTURES}/bad_raw_logging.cc"
@@ -89,20 +86,6 @@ if [ "${n_worklist}" -eq 2 ]; then
   echo "ok   raw_worklist_precision (2 findings, NOLINT'd BFS deque quiet)"
 else
   echo "FAIL raw_worklist_precision: ${n_worklist} findings, expected 2"
-  failures=$((failures + 1))
-fi
-# raw-determinize only applies inside src/eval + src/graphdb (or files
-# forced into scope): the same fixture without the scope flag is quiet.
-check raw_determinize_scoped_to_hot_paths 0 - \
-    ${LINT} --rule ecrpq-raw-determinize "${FIXTURES}/bad_raw_determinize.cc"
-# 2 seeded findings; DeterminizeCached( and the NOLINT'd one-shot stay quiet.
-n_determinize="$(${LINT} --treat-as-determinize-scope bad_raw_determinize.cc \
-    "${FIXTURES}/bad_raw_determinize.cc" 2>/dev/null \
-    | grep -c 'ecrpq-raw-determinize')"
-if [ "${n_determinize}" -eq 2 ]; then
-  echo "ok   raw_determinize_precision (2 findings, cached/NOLINT'd quiet)"
-else
-  echo "FAIL raw_determinize_precision: ${n_determinize} findings, expected 2"
   failures=$((failures + 1))
 fi
 # raw-logging only applies inside src/service + src/eval (or files forced

@@ -141,7 +141,7 @@ TEST(ParallelDeterminismTest, CqReductionRelations) {
   const GraphDb db = CycleGraph(6, "ab");
   const EcrpqQuery q = ChainEqLenQuery(kAb, 4).ValueOrDie();
   auto eval = [&](int num_threads) {
-    ReduceOptions options;
+    EvalOptions options;
     options.num_threads = num_threads;
     Result<EvalResult> r =
         EvaluateViaCqReduction(db, q, /*use_treedec=*/true, options);
@@ -156,17 +156,22 @@ TEST(ParallelDeterminismTest, CqReductionRelations) {
 }
 
 TEST(ParallelDeterminismTest, CqReductionBudgetError) {
-  // Budget violations must also be thread-invariant: both runs abort.
+  // Budget violations must also be thread-invariant: every pool size
+  // aborts with the same error.
   Rng rng(3);
   const GraphDb db = RandomGraph(&rng, 10, 2.0, 2);
   const EcrpqQuery q = EqLenStarQuery(kAb, 2).ValueOrDie();
-  for (int num_threads : {1, 4}) {
-    ReduceOptions options;
+  auto error_at = [&](int num_threads) {
+    EvalOptions options;
     options.num_threads = num_threads;
-    options.max_tuples = 5;
+    options.max_product_states = 5;
     Result<CqReduction> r = ReduceToCq(db, q, options);
     EXPECT_FALSE(r.ok()) << "pool size " << num_threads;
-  }
+    return r.status();
+  };
+  const Status sequential = error_at(1);
+  EXPECT_EQ(sequential.code(), StatusCode::kCapacityExceeded);
+  EXPECT_EQ(sequential.ToString(), error_at(4).ToString());
 }
 
 TEST(ParallelDeterminismTest, RpqReachAllAnyPoolSize) {

@@ -109,6 +109,22 @@ TEST(ServiceProtocolTest, MalformedLinesAlwaysStructuredErrors) {
                             "{\"id\":\"alive-" + std::to_string(probe++) +
                                 "\",\"op\":\"ping\"}")));
   }
+  // The "engine" field is checked against the engine-name table: each of
+  // its names is accepted, and an unknown name keeps its exact error line.
+  for (const std::string engine :
+       {"auto", "adaptive", "generic", "crpq", "cq"}) {
+    EXPECT_TRUE(IsOk(Handle(
+        session.get(), "{\"id\":\"engine-" + engine +
+                           "\",\"op\":\"query\",\"query\":\"q(x) := "
+                           "x -[/a/]-> y\",\"engine\":\"" +
+                           engine + "\"}")))
+        << engine;
+  }
+  EXPECT_EQ(Handle(session.get(),
+                   "{\"id\":\"warp\",\"op\":\"query\",\"query\":\"q(x) := "
+                   "x -[/a/]-> y\",\"engine\":\"warp\"}"),
+            "{\"id\":\"warp\",\"status\":\"error\",\"code\":"
+            "\"invalid_argument\",\"message\":\"unknown engine 'warp'\"}");
 }
 
 TEST(ServiceProtocolTest, TraceAndStatsOpsMalformedInputs) {

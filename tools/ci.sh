@@ -115,6 +115,27 @@ build/tools/ecrpq_cli eval "$OBS_TMP/graph.txt" "$OBS_QUERY" \
 build/tools/ecrpq_cli eval "$OBS_TMP/graph.txt" "$OBS_QUERY" --no-cache \
   > "$OBS_TMP/eval-nocache.out"
 diff "$OBS_TMP/eval-cached.out" "$OBS_TMP/eval-nocache.out"
+# One engine-name table behind eval and profile: both commands accept
+# every name, and every route prints the same satisfiable: line. The
+# fixture is a CRPQ, so the crpq route applies too.
+ENGINE_QUERY='q(x) := x -[/aa*/]-> y'
+for cmd in eval profile; do
+  : > "$OBS_TMP/engines-$cmd.lines"
+  for engine in auto adaptive generic crpq cq; do
+    if ! build/tools/ecrpq_cli "$cmd" "$OBS_TMP/graph.txt" "$ENGINE_QUERY" \
+        --engine="$engine" > "$OBS_TMP/engine.out"; then
+      echo "obs smoke: $cmd rejected --engine=$engine" >&2
+      exit 1
+    fi
+    grep '^satisfiable:' "$OBS_TMP/engine.out" >> "$OBS_TMP/engines-$cmd.lines"
+  done
+  if [ "$(wc -l < "$OBS_TMP/engines-$cmd.lines")" -ne 5 ] ||
+     [ "$(sort -u "$OBS_TMP/engines-$cmd.lines" | wc -l)" -ne 1 ]; then
+    echo "obs smoke: $cmd engines disagree on the satisfiable: line" >&2
+    cat "$OBS_TMP/engines-$cmd.lines" >&2
+    exit 1
+  fi
+done
 echo "observability smoke passed."
 
 echo "== [7/13] benchmark smoke (BENCH_*.json) =="

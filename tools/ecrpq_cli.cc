@@ -1,7 +1,7 @@
 // ecrpq_cli — command-line front end for the library.
 //
 //   ecrpq_cli classify --alphabet=ab "q() := x -[p1]-> y, ..."
-//   ecrpq_cli eval <graph-file> "q(x) := ..." [--engine=auto|generic|cq|crpq]
+//   ecrpq_cli eval <graph-file> "q(x) := ..." [--engine=<name>]
 //   ecrpq_cli sat --alphabet=ab "q() := ..."
 //   ecrpq_cli dot <graph-file>
 //   ecrpq_cli parse --alphabet=ab "q() := ..."
@@ -23,6 +23,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -32,11 +33,8 @@
 #include "common/obs.h"
 #include "eval/adaptive.h"
 #include "query/validate.h"
-#include "eval/crpq_eval.h"
 #include "eval/explain.h"
-#include "eval/generic_eval.h"
 #include "eval/planner.h"
-#include "eval/reduce_to_cq.h"
 #include "eval/satisfiability.h"
 #include "graphdb/dot.h"
 #include "cq/count.h"
@@ -344,24 +342,32 @@ Result<RelationRegistry> LoadRegistry(const Args& args) {
   return registry;
 }
 
-int Eval(const Args& args) {
-  if (args.positional.size() != 2) return Usage();
+// The graph + query every evaluating command starts from: <graph-file>
+// (positional[0]) and "<query>" (positional[1]), parsed against the
+// graph's alphabet plus the --rel relations. Prints the error and returns
+// nullopt on failure.
+struct Loaded {
+  GraphDb db;
+  EcrpqQuery query;
+};
+
+std::optional<Loaded> LoadGraphAndQuery(const Args& args) {
   Result<std::string> text = ReadFile(args.positional[0]);
   if (!text.ok()) {
     std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
-    return 1;
+    return std::nullopt;
   }
   Result<GraphDb> db = GraphDbFromString(*text);
   if (!db.ok()) {
     std::fprintf(stderr, "graph parse error: %s\n",
                  db.status().ToString().c_str());
-    return 1;
+    return std::nullopt;
   }
   Result<RelationRegistry> registry = LoadRegistry(args);
   if (!registry.ok()) {
     std::fprintf(stderr, "relation load error: %s\n",
                  registry.status().ToString().c_str());
-    return 1;
+    return std::nullopt;
   }
   // The query's alphabet must be a superset of the graph's; reuse it.
   Result<EcrpqQuery> query =
@@ -369,8 +375,18 @@ int Eval(const Args& args) {
   if (!query.ok()) {
     std::fprintf(stderr, "query parse error: %s\n",
                  query.status().ToString().c_str());
-    return 1;
+    return std::nullopt;
   }
+  return Loaded{std::move(*db), std::move(*query)};
+}
+
+int Eval(const Args& args) {
+  if (args.positional.size() != 2) return Usage();
+  const Result<EngineRoute> route = EngineRouteByName(args.engine);
+  if (!route.ok()) return Usage();
+  std::optional<Loaded> loaded = LoadGraphAndQuery(args);
+  if (!loaded) return 1;
+  const EcrpqQuery& query = loaded->query;
 
   // Observability session — attached only when asked for, so the default
   // path keeps the zero-overhead contract.
@@ -379,7 +395,6 @@ int Eval(const Args& args) {
                            args.budget_ms != 0;
   const bool want_obs =
       args.stats || !args.trace_path.empty() || want_budget;
-  obs::Session* obs = want_obs ? &session : nullptr;
   if (!args.trace_path.empty()) session.EnableTrace();
   if (want_budget) {
     obs::EvalBudget budget;
@@ -400,40 +415,12 @@ int Eval(const Args& args) {
     return true;
   };
 
-  Result<EvalResult> result = Status::Invalid("unset");
-  if (args.engine == "generic") {
-    EvalOptions options;
-    options.obs = obs;
-    options.disable_cache = args.no_cache;
-    result = EvaluateGeneric(*db, *query, options);
-  } else if (args.engine == "cq") {
-    ReduceOptions reduce_options;
-    reduce_options.obs = obs;
-    result = EvaluateViaCqReduction(*db, *query, /*use_treedec=*/true,
-                                    reduce_options);
-  } else if (args.engine == "crpq") {
-    result = EvaluateCrpq(*db, *query, /*use_treedec=*/true,
-                          /*max_answers=*/0, obs, args.no_cache);
-  } else if (args.engine == "adaptive") {
-    AdaptiveReport report;
-    AdaptiveOptions adaptive_options;
-    adaptive_options.eval.obs = obs;
-    adaptive_options.eval.disable_cache = args.no_cache;
-    result = EvaluateAdaptive(*db, *query, adaptive_options, &report);
-    if (result.ok()) {
-      std::printf("adaptive: budget=%zu fell_back=%s\n", report.phase1_budget,
-                  report.fell_back ? "yes" : "no");
-    }
-  } else if (args.engine == "auto") {
-    QueryClassification c;
-    EvalOptions options;
-    options.obs = obs;
-    options.disable_cache = args.no_cache;
-    result = EvaluatePlanned(*db, *query, options, {}, &c);
-    if (result.ok()) std::printf("%s\n", c.ToString().c_str());
-  } else {
-    return Usage();
-  }
+  EvalOptions options;
+  options.obs = want_obs ? &session : nullptr;
+  options.disable_cache = args.no_cache;
+  AdaptiveReport report;
+  const Result<EvalResult> result =
+      EvaluateRoute(loaded->db, query, *route, options, &report);
   if (!result.ok()) {
     write_trace();
     if (result.status().code() == StatusCode::kResourceExhausted) {
@@ -446,8 +433,19 @@ int Eval(const Args& args) {
                  result.status().ToString().c_str());
     return 1;
   }
+  switch (route->kind) {
+    case EngineRoute::Kind::kAuto:
+      std::printf("%s\n", report.classification.ToString().c_str());
+      break;
+    case EngineRoute::Kind::kAdaptive:
+      std::printf("adaptive: budget=%zu fell_back=%s\n", report.phase1_budget,
+                  report.fell_back ? "yes" : "no");
+      break;
+    case EngineRoute::Kind::kFixed:
+      break;
+  }
   std::printf("satisfiable: %s\n", result->satisfiable ? "yes" : "no");
-  if (!query->IsBoolean()) {
+  if (!query.IsBoolean()) {
     std::printf("%zu answers:\n", result->answers.size());
     for (const auto& answer : result->answers) {
       std::printf(" ");
@@ -471,59 +469,20 @@ int Eval(const Args& args) {
 // closing coverage line is meaningful (~100% minus untraced work).
 int Profile(const Args& args) {
   if (args.positional.size() != 2) return Usage();
+  const Result<EngineRoute> route = EngineRouteByName(args.engine);
+  if (!route.ok()) return Usage();
   setenv("ECRPQ_THREADS", "1", /*overwrite=*/1);
-  Result<std::string> text = ReadFile(args.positional[0]);
-  if (!text.ok()) {
-    std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
-    return 1;
-  }
-  Result<GraphDb> db = GraphDbFromString(*text);
-  if (!db.ok()) {
-    std::fprintf(stderr, "graph parse error: %s\n",
-                 db.status().ToString().c_str());
-    return 1;
-  }
-  Result<RelationRegistry> registry = LoadRegistry(args);
-  if (!registry.ok()) {
-    std::fprintf(stderr, "relation load error: %s\n",
-                 registry.status().ToString().c_str());
-    return 1;
-  }
-  Result<EcrpqQuery> query =
-      ParseEcrpq(args.positional[1], db->alphabet(), &*registry);
-  if (!query.ok()) {
-    std::fprintf(stderr, "query parse error: %s\n",
-                 query.status().ToString().c_str());
-    return 1;
-  }
+  std::optional<Loaded> loaded = LoadGraphAndQuery(args);
+  if (!loaded) return 1;
 
   obs::Session session;
   session.EnableTrace();
-  Result<EvalResult> result = Status::Invalid("unset");
-  if (args.engine == "generic") {
-    EvalOptions options;
-    options.obs = &session;
-    options.num_threads = 1;
-    options.disable_cache = args.no_cache;
-    result = EvaluateGeneric(*db, *query, options);
-  } else if (args.engine == "cq") {
-    ReduceOptions reduce_options;
-    reduce_options.obs = &session;
-    reduce_options.num_threads = 1;
-    result = EvaluateViaCqReduction(*db, *query, /*use_treedec=*/true,
-                                    reduce_options);
-  } else if (args.engine == "crpq") {
-    result = EvaluateCrpq(*db, *query, /*use_treedec=*/true,
-                          /*max_answers=*/0, &session, args.no_cache);
-  } else if (args.engine == "auto") {
-    EvalOptions options;
-    options.obs = &session;
-    options.num_threads = 1;
-    options.disable_cache = args.no_cache;
-    result = EvaluatePlanned(*db, *query, options);
-  } else {
-    return Usage();
-  }
+  EvalOptions options;
+  options.obs = &session;
+  options.num_threads = 1;
+  options.disable_cache = args.no_cache;
+  const Result<EvalResult> result =
+      EvaluateRoute(loaded->db, loaded->query, *route, options);
   if (!result.ok()) {
     std::fprintf(stderr, "evaluation error: %s\n",
                  result.status().ToString().c_str());
@@ -556,37 +515,17 @@ int TraceCheck(const Args& args) {
 
 int Explain(const Args& args) {
   if (args.positional.size() < 2) return Usage();
-  Result<std::string> text = ReadFile(args.positional[0]);
-  if (!text.ok()) {
-    std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
-    return 1;
-  }
-  Result<GraphDb> db = GraphDbFromString(*text);
-  if (!db.ok()) {
-    std::fprintf(stderr, "graph parse error: %s\n",
-                 db.status().ToString().c_str());
-    return 1;
-  }
-  Result<RelationRegistry> registry = LoadRegistry(args);
-  if (!registry.ok()) {
-    std::fprintf(stderr, "relation load error: %s\n",
-                 registry.status().ToString().c_str());
-    return 1;
-  }
-  Result<EcrpqQuery> query =
-      ParseEcrpq(args.positional[1], db->alphabet(), &*registry);
-  if (!query.ok()) {
-    std::fprintf(stderr, "query parse error: %s\n",
-                 query.status().ToString().c_str());
-    return 1;
-  }
+  std::optional<Loaded> loaded = LoadGraphAndQuery(args);
+  if (!loaded) return 1;
+  const GraphDb& db = loaded->db;
+  const EcrpqQuery& query = loaded->query;
   std::vector<VertexId> answer;
   for (size_t i = 2; i < args.positional.size(); ++i) {
     answer.push_back(
         static_cast<VertexId>(std::stoul(args.positional[i])));
   }
   Result<std::optional<Explanation>> explanation =
-      ExplainAnswer(*db, *query, answer);
+      ExplainAnswer(db, query, answer);
   if (!explanation.ok()) {
     std::fprintf(stderr, "error: %s\n",
                  explanation.status().ToString().c_str());
@@ -596,9 +535,9 @@ int Explain(const Args& args) {
     std::printf("not an answer\n");
     return 1;
   }
-  const Status valid = ValidateExplanation(*db, *query, **explanation);
+  const Status valid = ValidateExplanation(db, query, **explanation);
   std::printf("certificate (%s):\n%s", valid.ok() ? "valid" : "INVALID",
-              (**explanation).ToString(*query, *db).c_str());
+              (**explanation).ToString(query, db).c_str());
   return 0;
 }
 
@@ -627,31 +566,11 @@ int Sat(const Args& args) {
 
 int Count(const Args& args) {
   if (args.positional.size() != 2) return Usage();
-  Result<std::string> text = ReadFile(args.positional[0]);
-  if (!text.ok()) {
-    std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
-    return 1;
-  }
-  Result<GraphDb> db = GraphDbFromString(*text);
-  if (!db.ok()) {
-    std::fprintf(stderr, "graph parse error: %s\n",
-                 db.status().ToString().c_str());
-    return 1;
-  }
-  Result<RelationRegistry> registry = LoadRegistry(args);
-  if (!registry.ok()) {
-    std::fprintf(stderr, "relation load error: %s\n",
-                 registry.status().ToString().c_str());
-    return 1;
-  }
-  Result<EcrpqQuery> query =
-      ParseEcrpq(args.positional[1], db->alphabet(), &*registry);
-  if (!query.ok()) {
-    std::fprintf(stderr, "query parse error: %s\n",
-                 query.status().ToString().c_str());
-    return 1;
-  }
-  Result<uint64_t> count = CountEcrpqNodeAssignments(*db, *query);
+  std::optional<Loaded> loaded = LoadGraphAndQuery(args);
+  if (!loaded) return 1;
+  const GraphDb& db = loaded->db;
+  const EcrpqQuery& query = loaded->query;
+  Result<uint64_t> count = CountEcrpqNodeAssignments(db, query);
   if (!count.ok()) {
     std::fprintf(stderr, "error: %s\n", count.status().ToString().c_str());
     return 1;

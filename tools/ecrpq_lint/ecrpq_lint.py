@@ -36,15 +36,6 @@ Rules (catalog + rationale in docs/STATIC_ANALYSIS.md):
       the 0/1-BFS witness-path deque) stay — suppress with a justified
       NOLINT.
 
-  ecrpq-raw-determinize
-      No direct Determinize( calls in the evaluation hot paths (src/eval/,
-      src/graphdb/): subset construction is exponential in the worst case
-      and must go through AutomatonInterner::DeterminizeCached
-      (automata/interner.h), which memoizes the DFA per (interned NFA,
-      label universe). A deliberately-uncached determinization (e.g. a
-      one-shot automaton that must not occupy cache budget) gets a
-      justified NOLINT.
-
   ecrpq-raw-logging
       No fprintf(stderr, ...) / std::cerr in the service and evaluation
       layers (src/service/, src/eval/): diagnostics there carry a
@@ -136,11 +127,6 @@ INCDEC_RE = re.compile(r"\+\+|--")
 # "priority_queue" has no boundary before it.
 RAW_WORKLIST_RE = re.compile(r"\bstd\s*::\s*(deque|queue)\b")
 
-# \b keeps DeterminizeCached( out: the leading boundary requires the match
-# to start a fresh identifier, and "Determinize" inside "DeterminizeCached"
-# is followed by 'C', not '('.
-RAW_DETERMINIZE_RE = re.compile(r"\bDeterminize\s*\(")
-
 # Matches both the qualified (std::fprintf) and unqualified spellings; the
 # \b before fprintf holds after "::" because ':' is a non-word character.
 # snprintf/fprintf-to-a-FILE* never match — only the stderr stream does.
@@ -153,7 +139,6 @@ RULES = [
     "ecrpq-unordered-emission",
     "ecrpq-dcheck-side-effects",
     "ecrpq-raw-worklist",
-    "ecrpq-raw-determinize",
     "ecrpq-raw-logging",
 ]
 
@@ -404,23 +389,6 @@ def check_raw_worklist(relpath, raw_lines, stripped, extra_scope):
     return findings
 
 
-def check_raw_determinize(relpath, raw_lines, stripped, extra_scope):
-    in_scope = any(relpath.startswith(d) or ("/" + d) in relpath
-                   for d in RAW_WORKLIST_DIRS)
-    if not in_scope and os.path.basename(relpath) not in extra_scope:
-        return []
-    findings = []
-    supp = suppressed_lines(raw_lines, "ecrpq-raw-determinize")
-    for ln, line in enumerate(stripped.splitlines(), 1):
-        if RAW_DETERMINIZE_RE.search(line) and ln not in supp:
-            findings.append(Finding(
-                relpath, ln, "ecrpq-raw-determinize",
-                "raw Determinize( in an evaluation hot path; subset "
-                "construction goes through "
-                "AutomatonInterner::DeterminizeCached "
-                "(automata/interner.h) — NOLINT only for deliberately "
-                "uncached one-shot automata"))
-    return findings
 
 
 def check_raw_logging(relpath, raw_lines, stripped, extra_scope):
@@ -549,10 +517,6 @@ def main():
     ap.add_argument("--treat-as-worklist-scope", action="append", default=[],
                     help="additional file(s) the raw-worklist rule applies "
                          "to (fixture tests)")
-    ap.add_argument("--treat-as-determinize-scope", action="append",
-                    default=[],
-                    help="additional file(s) the raw-determinize rule "
-                         "applies to (fixture tests)")
     ap.add_argument("--treat-as-logging-scope", action="append", default=[],
                     help="additional file(s) the raw-logging rule applies "
                          "to (fixture tests)")
@@ -619,11 +583,6 @@ def main():
                 rel, raw_lines, stripped,
                 [os.path.basename(f)
                  for f in args.treat_as_worklist_scope])
-        if "ecrpq-raw-determinize" in active:
-            findings += check_raw_determinize(
-                rel, raw_lines, stripped,
-                [os.path.basename(f)
-                 for f in args.treat_as_determinize_scope])
         if "ecrpq-raw-logging" in active:
             findings += check_raw_logging(
                 rel, raw_lines, stripped,
