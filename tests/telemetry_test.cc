@@ -209,6 +209,32 @@ TEST(FlightRecorderTest, WraparoundKeepsOnlyTheNewestEvents) {
   }
 }
 
+// Byte-exact golden for the postmortem format: six fixed-time records into
+// a capacity-4 ring keep the newest four, oldest first, each carrying its
+// lifetime sequence number next to the caller's arg.
+TEST(FlightRecorderTest, TraceJsonGoldenBytesAfterWraparound) {
+  FlightRecorder recorder(/*capacity=*/4);
+  for (uint64_t i = 0; i < 6; ++i) {
+    recorder.Record(i % 2 == 1 ? "query" : "protocol_error",
+                    static_cast<int>(i % 3), i * 1500 + 7, 100 + i, i * 10);
+  }
+  EXPECT_EQ(recorder.ToTraceJson("t-42"),
+            "{\"traceId\": \"t-42\", \"traceEvents\": [\n"
+            "  {\"name\": \"protocol_error\", \"cat\": \"flightrec\", "
+            "\"ph\": \"X\", \"pid\": 0, \"tid\": 2, \"ts\": 3.007, "
+            "\"dur\": 0.102, \"args\": {\"seq\": 2, \"v\": 20}},\n"
+            "  {\"name\": \"query\", \"cat\": \"flightrec\", \"ph\": \"X\", "
+            "\"pid\": 0, \"tid\": 0, \"ts\": 4.507, \"dur\": 0.103, "
+            "\"args\": {\"seq\": 3, \"v\": 30}},\n"
+            "  {\"name\": \"protocol_error\", \"cat\": \"flightrec\", "
+            "\"ph\": \"X\", \"pid\": 0, \"tid\": 1, \"ts\": 6.007, "
+            "\"dur\": 0.104, \"args\": {\"seq\": 4, \"v\": 40}},\n"
+            "  {\"name\": \"query\", \"cat\": \"flightrec\", \"ph\": \"X\", "
+            "\"pid\": 0, \"tid\": 2, \"ts\": 7.507, \"dur\": 0.105, "
+            "\"args\": {\"seq\": 5, \"v\": 50}}\n"
+            "], \"displayTimeUnit\": \"ms\"}\n");
+}
+
 TEST(FlightRecorderTest, DumpToFileWritesAValidPostmortem) {
   const std::string path = TempPath("postmortem.json");
   std::remove(path.c_str());
