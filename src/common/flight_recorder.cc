@@ -3,7 +3,6 @@
 #include <csignal>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
 namespace ecrpq {
 namespace obs {
@@ -32,43 +31,12 @@ void FlightRecorder::Record(const char* name, int tid, uint64_t start_ns,
   // Invalidate first so a reader racing this write sees "in flux", not a
   // stale-payload/new-seq mix.
   slot.seq.store(0, std::memory_order_release);
-  slot.name = name;
-  slot.tid = tid;
-  slot.start_ns = start_ns;
-  slot.dur_ns = dur_ns;
-  slot.arg = arg;
+  slot.event = TraceEvent{name, tid, start_ns, dur_ns, arg, true, claim + 1};
   slot.seq.store(claim + 1, std::memory_order_release);
 }
 
-namespace {
-
-std::string MicrosFR(uint64_t ns) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%llu.%03llu",
-                static_cast<unsigned long long>(ns / 1000),
-                static_cast<unsigned long long>(ns % 1000));
-  return buf;
-}
-
-void AppendEscaped(std::string_view s, std::ostringstream* out) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out->put('\\');
-    out->put(c);
-  }
-}
-
-}  // namespace
-
 std::string FlightRecorder::ToTraceJson(std::string_view trace_id) const {
-  struct Copied {
-    uint64_t seq;
-    const char* name;
-    int tid;
-    uint64_t start_ns;
-    uint64_t dur_ns;
-    uint64_t arg;
-  };
-  std::vector<Copied> window;
+  std::vector<TraceEvent> window;
   window.reserve(capacity_);
   const uint64_t end = next_.load(std::memory_order_acquire);
   const uint64_t begin = end > capacity_ ? end - capacity_ : 0;
@@ -76,35 +44,14 @@ std::string FlightRecorder::ToTraceJson(std::string_view trace_id) const {
     const Slot& slot = slots_[i % capacity_];
     const uint64_t seq_before = slot.seq.load(std::memory_order_acquire);
     if (seq_before != i + 1) continue;  // Overwritten or mid-write: skip.
-    Copied c{seq_before, slot.name,   slot.tid,
-             slot.start_ns, slot.dur_ns, slot.arg};
+    const TraceEvent e = slot.event;
     // A writer lapping us invalidates seq first, so an unchanged stamp
     // means the payload we copied was not torn.
     if (slot.seq.load(std::memory_order_acquire) != seq_before) continue;
-    if (c.name == nullptr) continue;
-    window.push_back(c);
+    if (e.name == nullptr) continue;
+    window.push_back(e);
   }
-
-  std::ostringstream out;
-  out << "{";
-  if (!trace_id.empty()) {
-    out << "\"traceId\": \"";
-    AppendEscaped(trace_id, &out);
-    out << "\", ";
-  }
-  out << "\"traceEvents\": [\n";
-  for (size_t i = 0; i < window.size(); ++i) {
-    const Copied& e = window[i];
-    out << "  {\"name\": \"";
-    AppendEscaped(e.name, &out);
-    out << "\", \"cat\": \"flightrec\", \"ph\": \"X\", \"pid\": 0, \"tid\": "
-        << e.tid << ", \"ts\": " << MicrosFR(e.start_ns)
-        << ", \"dur\": " << MicrosFR(e.dur_ns) << ", \"args\": {\"seq\": "
-        << e.seq - 1 << ", \"v\": " << e.arg << "}}"
-        << (i + 1 < window.size() ? "," : "") << "\n";
-  }
-  out << "], \"displayTimeUnit\": \"ms\"}\n";
-  return out.str();
+  return RenderTraceJson(trace_id, "flightrec", window);
 }
 
 Status FlightRecorder::DumpToFile(const std::string& path,

@@ -11,9 +11,10 @@
 // postmortem that drops one torn record is still a postmortem.
 //
 // Read path (ToTraceJson/DumpToFile) walks the retained window oldest
-// first and emits Trace-Event-Format complete events, so every dump
-// validates under ValidateTraceJson. Event names must be string literals
-// (or otherwise outlive the recorder) — same contract as obs::Span.
+// first and renders it with RenderTraceJson, the renderer Trace::ToJson
+// uses, so every dump validates under ValidateTraceJson. Event names must
+// be string literals (or otherwise outlive the recorder) — same contract
+// as obs::Span.
 //
 // The process-wide instance (Process()) backs the fatal-signal dump
 // installed by `ecrpq_cli serve --postmortem-dir=...`: per-session
@@ -30,6 +31,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/trace.h"
 
 namespace ecrpq {
 namespace obs {
@@ -81,11 +83,7 @@ class FlightRecorder {
     // seq == claim index + 1, published AFTER the payload; 0 = never
     // written. The reader re-checks it around the payload read.
     std::atomic<uint64_t> seq{0};
-    const char* name = nullptr;
-    int tid = 0;
-    uint64_t start_ns = 0;
-    uint64_t dur_ns = 0;
-    uint64_t arg = 0;
+    TraceEvent event{};
   };
 
   const size_t capacity_;

@@ -1,11 +1,41 @@
 #include "common/json.h"
 
-#include <cmath>
-#include <cstdlib>
+#include <charconv>
 
 #include "common/check.h"
 
 namespace ecrpq {
+
+void JsonEscape(std::string_view s, std::string* out) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  for (const char c : s) {
+    const unsigned char u = static_cast<unsigned char>(c);
+    if (c == '"' || c == '\\') {
+      out->push_back('\\');
+      out->push_back(c);
+    } else if (c == '\n') {
+      *out += "\\n";
+    } else if (c == '\r') {
+      *out += "\\r";
+    } else if (c == '\t') {
+      *out += "\\t";
+    } else if (u < 0x20) {
+      *out += "\\u00";
+      out->push_back(kHex[u >> 4]);
+      out->push_back(kHex[u & 0xf]);
+    } else {
+      out->push_back(c);
+    }
+  }
+}
+
+std::string JsonEscape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  JsonEscape(s, &out);
+  return out;
+}
+
 namespace json {
 
 bool Value::AsBool() const {
@@ -72,7 +102,7 @@ namespace {
 
 class Parser {
  public:
-  explicit Parser(const std::string& text) : text_(text) {}
+  explicit Parser(std::string_view text) : text_(text) {}
 
   Result<Value> Document() {
     SkipWs();
@@ -133,12 +163,38 @@ class Parser {
     }
   }
 
+  // Consumes `c` when it is next.
+  bool Skip(char c) {
+    if (pos_ >= text_.size() || text_[pos_] != c) return false;
+    ++pos_;
+    return true;
+  }
+
+  // Consumes one or more digits; false when there is none.
+  bool Digits() {
+    const size_t begin = pos_;
+    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
+      ++pos_;
+    }
+    return pos_ > begin;
+  }
+
+  // RFC 8259: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
   Result<Value> ParseNumber() {
-    const char* begin = text_.c_str() + pos_;
-    char* end = nullptr;
-    const double d = std::strtod(begin, &end);
-    if (end == begin || !std::isfinite(d)) return Error("bad number");
-    pos_ += static_cast<size_t>(end - begin);
+    const size_t begin = pos_;
+    Skip('-');
+    if (!Skip('0') && !Digits()) return Error("bad number");
+    if (Skip('.') && !Digits()) return Error("bad number");
+    if (Skip('e') || Skip('E')) {
+      if (!Skip('+')) Skip('-');
+      if (!Digits()) return Error("bad number");
+    }
+    double d = 0;
+    const auto [end, ec] =
+        std::from_chars(text_.data() + begin, text_.data() + pos_, d);
+    if (ec != std::errc() || end != text_.data() + pos_) {
+      return Error("number out of range");
+    }
     return Value(d);
   }
 
@@ -148,6 +204,10 @@ class Parser {
     while (pos_ < text_.size()) {
       const char c = text_[pos_++];
       if (c == '"') return Value(std::move(out));
+      if (static_cast<unsigned char>(c) < 0x20) {
+        --pos_;
+        return Error("control character in string");
+      }
       if (c != '\\') {
         out.push_back(c);
         continue;
@@ -244,13 +304,13 @@ class Parser {
     }
   }
 
-  const std::string& text_;
+  std::string_view text_;
   size_t pos_ = 0;
 };
 
 }  // namespace
 
-Result<Value> Parse(const std::string& text) {
+Result<Value> Parse(std::string_view text) {
   return Parser(text).Document();
 }
 

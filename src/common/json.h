@@ -1,7 +1,14 @@
-// Minimal JSON value parser — just enough for the repo's own machine
-// formats (BENCH_*.json, StatsReport::ToJson, trace exports). Not a
-// general-purpose library: no \uXXXX surrogate pairs beyond the BMP, no
-// configurable depth limits, numbers parsed with strtod.
+// The repo's one JSON layer. Parse() is the wire parser: it reads service
+// request lines, BENCH_*.json, StatsReport::ToJson and trace exports, and
+// follows the RFC 8259 grammar (numbers as -?int[.frac][e[+-]exp] without
+// hex, leading zeros or bare dots; no raw control characters inside
+// strings). Numbers are converted with std::from_chars, which does not
+// depend on the locale. Not a general-purpose library: no \uXXXX surrogate
+// pairs beyond the BMP, a fixed nesting limit.
+//
+// JsonEscape() is the one JSON string escaper: wire responses, event-log
+// records, trace and postmortem exports and bench JSON all escape the
+// strings they did not choose themselves (ids, messages, names) with it.
 //
 // Values are immutable after Parse(). Object member order is preserved
 // (stored as a vector of pairs), which keeps round-trip tests byte-exact
@@ -12,6 +19,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -19,6 +27,15 @@
 #include "common/status.h"
 
 namespace ecrpq {
+
+// Escapes `s` for use inside a JSON string literal (the quotes are the
+// caller's): '"' and '\\' are backslash-escaped, \n \r \t get their short
+// forms and every other byte below 0x20 becomes \u00XX. Bytes >= 0x20 pass
+// through unchanged.
+std::string JsonEscape(std::string_view s);
+// The same, appended to *out.
+void JsonEscape(std::string_view s, std::string* out);
+
 namespace json {
 
 class Value;
@@ -80,7 +97,7 @@ class Value {
 
 // Parses one JSON document (trailing whitespace allowed, trailing garbage is
 // an error). Errors carry a byte offset.
-Result<Value> Parse(const std::string& text);
+Result<Value> Parse(std::string_view text);
 
 }  // namespace json
 }  // namespace ecrpq

@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <vector>
+
+#include "common/json.h"
 
 namespace ecrpq {
 namespace obs {
@@ -29,13 +32,13 @@ uint64_t Trace::NowNs() const {
 void Trace::Record(const char* name, int tid, uint64_t start_ns,
                    uint64_t dur_ns) {
   MutexLock lock(mutex_);
-  events_.push_back(Event{name, tid, start_ns, dur_ns, 0, false});
+  events_.push_back(TraceEvent{name, tid, start_ns, dur_ns, 0, false});
 }
 
 void Trace::Record(const char* name, int tid, uint64_t start_ns,
                    uint64_t dur_ns, uint64_t arg) {
   MutexLock lock(mutex_);
-  events_.push_back(Event{name, tid, start_ns, dur_ns, arg, true});
+  events_.push_back(TraceEvent{name, tid, start_ns, dur_ns, arg, true});
 }
 
 size_t Trace::NumEvents() const {
@@ -43,14 +46,14 @@ size_t Trace::NumEvents() const {
   return events_.size();
 }
 
-std::vector<Trace::Event> Trace::Events() const {
-  std::vector<Event> snapshot;
+std::vector<TraceEvent> Trace::Events() const {
+  std::vector<TraceEvent> snapshot;
   {
     MutexLock lock(mutex_);
     snapshot = events_;
   }
   std::sort(snapshot.begin(), snapshot.end(),
-            [](const Event& a, const Event& b) {
+            [](const TraceEvent& a, const TraceEvent& b) {
               if (a.start_ns != b.start_ns) return a.start_ns < b.start_ns;
               if (a.tid != b.tid) return a.tid < b.tid;
               return std::strcmp(a.name, b.name) < 0;
@@ -62,53 +65,50 @@ namespace {
 
 // Trace Event Format timestamps are microseconds; keep ns precision as a
 // fraction.
-std::string Micros(uint64_t ns) {
+void AppendMicros(uint64_t ns, std::string* out) {
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%llu.%03llu",
-                static_cast<unsigned long long>(ns / 1000),
-                static_cast<unsigned long long>(ns % 1000));
-  return buf;
-}
-
-std::string EscapeJson(const char* s) {
-  std::string out;
-  for (const char* p = s; *p != '\0'; ++p) {
-    if (*p == '"' || *p == '\\') out.push_back('\\');
-    out.push_back(*p);
-  }
-  return out;
-}
-
-std::string EscapeJson(std::string_view s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
+  const int n = std::snprintf(buf, sizeof(buf), "%llu.%03llu",
+                              static_cast<unsigned long long>(ns / 1000),
+                              static_cast<unsigned long long>(ns % 1000));
+  out->append(buf, static_cast<size_t>(n));
 }
 
 }  // namespace
 
-std::string Trace::ToJson(std::string_view trace_id) const {
-  const std::vector<Event> events = Events();
-  std::ostringstream out;
-  out << "{";
+std::string RenderTraceJson(std::string_view trace_id, const char* cat,
+                            const std::vector<TraceEvent>& events) {
+  std::string out = "{";
   if (!trace_id.empty()) {
-    out << "\"traceId\": \"" << EscapeJson(trace_id) << "\", ";
+    out += "\"traceId\": \"";
+    JsonEscape(trace_id, &out);
+    out += "\", ";
   }
-  out << "\"traceEvents\": [\n";
+  out += "\"traceEvents\": [\n";
   for (size_t i = 0; i < events.size(); ++i) {
-    const Event& e = events[i];
-    out << "  {\"name\": \"" << EscapeJson(e.name)
-        << "\", \"cat\": \"ecrpq\", \"ph\": \"X\", \"pid\": 0, \"tid\": "
-        << e.tid << ", \"ts\": " << Micros(e.start_ns)
-        << ", \"dur\": " << Micros(e.dur_ns);
-    if (e.has_arg) out << ", \"args\": {\"v\": " << e.arg << "}";
-    out << "}" << (i + 1 < events.size() ? "," : "") << "\n";
+    const TraceEvent& e = events[i];
+    out += "  {\"name\": \"";
+    JsonEscape(e.name, &out);
+    out += "\", \"cat\": \"";
+    out += cat;
+    out += "\", \"ph\": \"X\", \"pid\": 0, \"tid\": ";
+    out += std::to_string(e.tid);
+    out += ", \"ts\": ";
+    AppendMicros(e.start_ns, &out);
+    out += ", \"dur\": ";
+    AppendMicros(e.dur_ns, &out);
+    if (e.has_arg || e.seq != 0) {
+      out += ", \"args\": {";
+      if (e.seq != 0) out += "\"seq\": " + std::to_string(e.seq - 1) + ", ";
+      out += "\"v\": " + std::to_string(e.arg) + "}";
+    }
+    out += i + 1 < events.size() ? "},\n" : "}\n";
   }
-  out << "], \"displayTimeUnit\": \"ms\"}\n";
-  return out.str();
+  out += "], \"displayTimeUnit\": \"ms\"}\n";
+  return out;
+}
+
+std::string Trace::ToJson(std::string_view trace_id) const {
+  return RenderTraceJson(trace_id, "ecrpq", Events());
 }
 
 Status Trace::WriteFile(const std::string& path) const {
@@ -127,7 +127,7 @@ namespace {
 // Accumulates one thread's events (already sorted by start) into per-name
 // stats using an interval-nesting stack: a span's self time is its duration
 // minus the durations of its direct children on the same thread.
-void AccumulateThread(const std::vector<Trace::Event>& events,
+void AccumulateThread(const std::vector<TraceEvent>& events,
                       std::map<std::string, PhaseStats>* stats) {
   struct Open {
     const char* name;
@@ -145,7 +145,7 @@ void AccumulateThread(const std::vector<Trace::Event>& events,
     s.self_ns += top.dur_ns - child;
     if (!stack.empty()) stack.back().child_ns += top.dur_ns;
   };
-  for (const Trace::Event& e : events) {
+  for (const TraceEvent& e : events) {
     while (!stack.empty() && stack.back().end_ns <= e.start_ns) close_top();
     PhaseStats& s = (*stats)[e.name];
     if (s.name.empty()) s.name = e.name;
@@ -232,12 +232,12 @@ std::string PhaseProfile::ToString() const {
 
 PhaseProfile BuildPhaseProfile(const Trace& trace) {
   PhaseProfile profile;
-  const std::vector<Trace::Event> events = trace.Events();
+  const std::vector<TraceEvent> events = trace.Events();
   if (events.empty()) return profile;
   uint64_t first_start = ~uint64_t{0};
   uint64_t last_end = 0;
-  std::map<int, std::vector<Trace::Event>> by_tid;
-  for (const Trace::Event& e : events) {
+  std::map<int, std::vector<TraceEvent>> by_tid;
+  for (const TraceEvent& e : events) {
     first_start = std::min(first_start, e.start_ns);
     last_end = std::max(last_end, e.start_ns + e.dur_ns);
     by_tid[e.tid].push_back(e);
@@ -248,7 +248,7 @@ PhaseProfile BuildPhaseProfile(const Trace& trace) {
     // The nesting stack needs parents before children: start ascending,
     // and at equal start the longer (enclosing) span first.
     std::stable_sort(tid_events.begin(), tid_events.end(),
-                     [](const Trace::Event& a, const Trace::Event& b) {
+                     [](const TraceEvent& a, const TraceEvent& b) {
                        if (a.start_ns != b.start_ns) {
                          return a.start_ns < b.start_ns;
                        }
@@ -270,309 +270,56 @@ PhaseProfile BuildPhaseProfile(const Trace& trace) {
 }
 
 // ---------------------------------------------------------------------------
-// Minimal JSON parser for the schema check. Recognizes the full JSON value
-// grammar (objects, arrays, strings, numbers, true/false/null); no unicode
-// unescaping — the validator only needs structure and key presence.
-
-namespace {
-
-class JsonScanner {
- public:
-  explicit JsonScanner(const std::string& text) : text_(text) {}
-
-  // Parses one value; on success leaves pos_ after it.
-  bool ParseValue() {
-    SkipSpace();
-    if (pos_ >= text_.size()) return Fail("unexpected end of input");
-    const char c = text_[pos_];
-    if (c == '{') return ParseObject(nullptr);
-    if (c == '[') return ParseArray();
-    if (c == '"') return ParseString(nullptr);
-    if (c == 't') return ParseLiteral("true");
-    if (c == 'f') return ParseLiteral("false");
-    if (c == 'n') return ParseLiteral("null");
-    return ParseNumber();
-  }
-
-  // Parses an object; records its top-level keys (and, for "traceEvents",
-  // remembers the array span) via the callback when non-null.
-  bool ParseObject(std::vector<std::string>* keys_out) {
-    if (!Expect('{')) return false;
-    SkipSpace();
-    if (Peek() == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      SkipSpace();
-      std::string key;
-      if (!ParseString(&key)) return false;
-      if (keys_out != nullptr) keys_out->push_back(key);
-      SkipSpace();
-      if (!Expect(':')) return false;
-      if (!ParseValue()) return false;
-      SkipSpace();
-      if (Peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      return Expect('}');
-    }
-  }
-
-  bool AtEnd() {
-    SkipSpace();
-    return pos_ >= text_.size();
-  }
-
-  const std::string& error() const { return error_; }
-  size_t pos() const { return pos_; }
-  void set_pos(size_t p) { pos_ = p; }
-
-  bool ParseString(std::string* out) {
-    if (!Expect('"')) return false;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == '"') {
-        ++pos_;
-        return true;
-      }
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) return Fail("dangling escape");
-      } else if (out != nullptr) {
-        out->push_back(c);
-      }
-      ++pos_;
-    }
-    return Fail("unterminated string");
-  }
-
-  bool ParseNumber() {
-    const size_t start = pos_;
-    if (Peek() == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) return Fail("expected a number");
-    return true;
-  }
-
-  bool ParseArray() {
-    if (!Expect('[')) return false;
-    SkipSpace();
-    if (Peek() == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      if (!ParseValue()) return false;
-      SkipSpace();
-      if (Peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      return Expect(']');
-    }
-  }
-
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  char Peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-
-  bool Expect(char c) {
-    SkipSpace();
-    if (Peek() != c) {
-      return Fail(std::string("expected '") + c + "'");
-    }
-    ++pos_;
-    return true;
-  }
-
-  bool ParseLiteral(const char* lit) {
-    const size_t len = std::strlen(lit);
-    if (text_.compare(pos_, len, lit) != 0) {
-      return Fail(std::string("expected ") + lit);
-    }
-    pos_ += len;
-    return true;
-  }
-
-  bool Fail(const std::string& why) {
-    if (error_.empty()) {
-      error_ = why + " at offset " + std::to_string(pos_);
-    }
-    return false;
-  }
-
- private:
-  const std::string& text_;
-  size_t pos_ = 0;
-  std::string error_;
-};
-
-// Validates one event object in place (scanner positioned at '{').
-bool ValidateEventObject(JsonScanner* scanner, std::string* why) {
-  // Re-parse the object manually so key/value types can be checked.
-  scanner->SkipSpace();
-  if (!scanner->Expect('{')) {
-    *why = scanner->error();
-    return false;
-  }
-  bool has_name = false, has_ph = false, has_ts = false, has_dur = false,
-       has_pid = false, has_tid = false;
-  scanner->SkipSpace();
-  if (scanner->Peek() == '}') {
-    *why = "empty trace event object";
-    return false;
-  }
-  while (true) {
-    scanner->SkipSpace();
-    std::string key;
-    if (!scanner->ParseString(&key)) {
-      *why = scanner->error();
-      return false;
-    }
-    scanner->SkipSpace();
-    if (!scanner->Expect(':')) {
-      *why = scanner->error();
-      return false;
-    }
-    scanner->SkipSpace();
-    const char c = scanner->Peek();
-    const bool is_string = c == '"';
-    const bool is_number =
-        c == '-' || std::isdigit(static_cast<unsigned char>(c)) != 0;
-    if (!scanner->ParseValue()) {
-      *why = scanner->error();
-      return false;
-    }
-    if (key == "name" || key == "ph" || key == "cat") {
-      if (!is_string) {
-        *why = "event field \"" + key + "\" is not a string";
-        return false;
-      }
-      if (key == "name") has_name = true;
-      if (key == "ph") has_ph = true;
-    } else if (key == "ts" || key == "dur" || key == "pid" || key == "tid") {
-      if (!is_number) {
-        *why = "event field \"" + key + "\" is not a number";
-        return false;
-      }
-      if (key == "ts") has_ts = true;
-      if (key == "dur") has_dur = true;
-      if (key == "pid") has_pid = true;
-      if (key == "tid") has_tid = true;
-    }
-    scanner->SkipSpace();
-    if (scanner->Peek() == ',') {
-      scanner->set_pos(scanner->pos() + 1);
-      continue;
-    }
-    if (!scanner->Expect('}')) {
-      *why = scanner->error();
-      return false;
-    }
-    break;
-  }
-  if (!has_name || !has_ph || !has_ts || !has_dur || !has_pid || !has_tid) {
-    *why = "event object missing a required field "
-           "(name/ph/ts/dur/pid/tid)";
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
+// Schema check.
 
 Status ValidateTraceJson(const std::string& text, size_t min_events) {
-  // Pass 1: the whole text must be one well-formed JSON value.
-  {
-    JsonScanner scanner(text);
-    if (!scanner.ParseValue() || !scanner.AtEnd()) {
-      return Status::ParseError(
-          "trace is not well-formed JSON: " +
-          (scanner.error().empty() ? "trailing garbage" : scanner.error()));
-    }
+  Result<json::Value> doc = json::Parse(text);
+  if (!doc.ok()) {
+    return Status::ParseError("trace is not well-formed JSON: " +
+                              doc.status().message());
   }
-  // Pass 2: structural schema. Walk to the "traceEvents" array and check
-  // each element.
-  JsonScanner scanner(text);
-  scanner.SkipSpace();
-  if (scanner.Peek() != '{') {
+  if (!doc->is_object()) {
     return Status::ParseError("trace top level is not a JSON object");
   }
-  scanner.set_pos(scanner.pos() + 1);
-  size_t num_events = 0;
-  bool saw_trace_events = false;
-  scanner.SkipSpace();
-  if (scanner.Peek() != '}') {
-    while (true) {
-      scanner.SkipSpace();
-      std::string key;
-      if (!scanner.ParseString(&key)) {
-        return Status::ParseError(scanner.error());
-      }
-      scanner.SkipSpace();
-      if (!scanner.Expect(':')) return Status::ParseError(scanner.error());
-      if (key == "traceEvents") {
-        saw_trace_events = true;
-        scanner.SkipSpace();
-        if (scanner.Peek() != '[') {
-          return Status::ParseError("\"traceEvents\" is not an array");
-        }
-        scanner.set_pos(scanner.pos() + 1);
-        scanner.SkipSpace();
-        if (scanner.Peek() == ']') {
-          scanner.set_pos(scanner.pos() + 1);
-        } else {
-          while (true) {
-            scanner.SkipSpace();
-            if (scanner.Peek() != '{') {
-              return Status::ParseError("trace event is not an object");
-            }
-            std::string why;
-            if (!ValidateEventObject(&scanner, &why)) {
-              return Status::ParseError(why);
-            }
-            ++num_events;
-            scanner.SkipSpace();
-            if (scanner.Peek() == ',') {
-              scanner.set_pos(scanner.pos() + 1);
-              continue;
-            }
-            if (!scanner.Expect(']')) {
-              return Status::ParseError(scanner.error());
-            }
-            break;
-          }
-        }
-      } else {
-        if (!scanner.ParseValue()) return Status::ParseError(scanner.error());
-      }
-      scanner.SkipSpace();
-      if (scanner.Peek() == ',') {
-        scanner.set_pos(scanner.pos() + 1);
-        continue;
-      }
-      if (!scanner.Expect('}')) return Status::ParseError(scanner.error());
-      break;
-    }
-  }
-  if (!saw_trace_events) {
+  const json::Value* events = doc->Find("traceEvents");
+  if (events == nullptr) {
     return Status::ParseError("trace has no \"traceEvents\" key");
   }
-  if (num_events < min_events) {
-    return Status::Invalid("trace holds " + std::to_string(num_events) +
+  if (!events->is_array()) {
+    return Status::ParseError("\"traceEvents\" is not an array");
+  }
+  for (const json::Value& event : events->AsArray()) {
+    if (!event.is_object()) {
+      return Status::ParseError("trace event is not an object");
+    }
+    // Bit i set = required field i seen: name, ph, ts, dur, pid, tid.
+    static constexpr const char* kRequired[] = {"name", "ph",  "ts",
+                                                "dur",  "pid", "tid"};
+    unsigned seen = 0;
+    for (const auto& [key, value] : event.AsObject()) {
+      const bool string_field = key == "name" || key == "ph" || key == "cat";
+      const bool number_field =
+          key == "ts" || key == "dur" || key == "pid" || key == "tid";
+      if (string_field && !value.is_string()) {
+        return Status::ParseError("event field \"" + key +
+                                  "\" is not a string");
+      }
+      if (number_field && !value.is_number()) {
+        return Status::ParseError("event field \"" + key +
+                                  "\" is not a number");
+      }
+      for (unsigned i = 0; i < 6; ++i) {
+        if (key == kRequired[i]) seen |= 1u << i;
+      }
+    }
+    if (seen != 0x3f) {
+      return Status::ParseError(
+          "event object missing a required field (name/ph/ts/dur/pid/tid)");
+    }
+  }
+  if (events->AsArray().size() < min_events) {
+    return Status::Invalid("trace holds " +
+                           std::to_string(events->AsArray().size()) +
                            " event(s), expected at least " +
                            std::to_string(min_events));
   }

@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/annotations.h"
@@ -30,17 +31,32 @@ namespace obs {
 // (process-wide numbering; the main thread is usually 0).
 int CurrentTraceThreadId();
 
+// One completed event: the record type of both Trace and FlightRecorder.
+struct TraceEvent {
+  const char* name;
+  int tid;
+  uint64_t start_ns;  // Relative to the owning Trace's/recorder's origin.
+  uint64_t dur_ns;
+  uint64_t arg;
+  bool has_arg;
+  // FlightRecorder sequence stamp: lifetime record index + 1; 0 for Trace
+  // events, which have no sequence.
+  uint64_t seq = 0;
+};
+
+// The one Trace-Event-Format renderer, behind Trace::ToJson and
+// FlightRecorder::ToTraceJson:
+//   {["traceId": "<id>", ]"traceEvents": [
+//     {"name": ..., "cat": <cat>, "ph": "X", "pid": 0, "tid": ..., "ts": ...,
+//      "dur": ...[, "args": {["seq": <seq - 1>, ]"v": <arg>}]},
+//   ...], "displayTimeUnit": "ms"}
+// one event per line, in the given order. Times are microseconds with
+// three decimals. Names and the trace id are escaped with JsonEscape.
+std::string RenderTraceJson(std::string_view trace_id, const char* cat,
+                            const std::vector<TraceEvent>& events);
+
 class Trace {
  public:
-  struct Event {
-    const char* name;
-    int tid;
-    uint64_t start_ns;  // Relative to the Trace's construction.
-    uint64_t dur_ns;
-    uint64_t arg;
-    bool has_arg;
-  };
-
   Trace();
   Trace(const Trace&) = delete;
   Trace& operator=(const Trace&) = delete;
@@ -56,7 +72,7 @@ class Trace {
 
   // Snapshot, sorted by (start, tid).
   size_t NumEvents() const ECRPQ_EXCLUDES(mutex_);
-  std::vector<Event> Events() const ECRPQ_EXCLUDES(mutex_);
+  std::vector<TraceEvent> Events() const ECRPQ_EXCLUDES(mutex_);
 
   // {"traceEvents":[...],"displayTimeUnit":"ms"} — events sorted by
   // (start, tid, name) so output layout is stable for a given set of spans.
@@ -70,7 +86,7 @@ class Trace {
  private:
   std::chrono::steady_clock::time_point origin_;
   mutable Mutex mutex_;
-  std::vector<Event> events_ ECRPQ_GUARDED_BY(mutex_);
+  std::vector<TraceEvent> events_ ECRPQ_GUARDED_BY(mutex_);
 };
 
 // RAII span. Usage:

@@ -92,9 +92,8 @@ Status GetBoolField(const json::Value& obj, const std::string& key,
 
 bool IsValidTraceId(std::string_view id) {
   if (id.empty() || id.size() > kMaxTraceIdBytes) return false;
-  // Visible ASCII only: the id is echoed verbatim into JSON responses,
-  // trace exports and log lines; banning control bytes and non-ASCII here
-  // keeps every downstream serialization trivially safe.
+  // Visible ASCII only: the id is echoed into responses, trace exports and
+  // log lines, where it should read exactly as the client sent it.
   for (const char c : id) {
     const unsigned char u = static_cast<unsigned char>(c);
     if (u < 0x21 || u > 0x7e || c == '"' || c == '\\') return false;
@@ -103,7 +102,7 @@ bool IsValidTraceId(std::string_view id) {
 }
 
 Result<ServiceRequest> ParseRequestLine(std::string_view line) {
-  ECRPQ_ASSIGN_OR_RAISE(json::Value doc, json::Parse(std::string(line)));
+  ECRPQ_ASSIGN_OR_RAISE(json::Value doc, json::Parse(line));
   if (!doc.is_object()) {
     return Status::Invalid("request must be a JSON object");
   }
@@ -255,40 +254,6 @@ Result<ServiceRequest> ParseRequestLine(std::string_view line) {
   return req;
 }
 
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 const char* WireCodeName(StatusCode code) {
   switch (code) {
     case StatusCode::kOk:
@@ -313,63 +278,78 @@ const char* WireCodeName(StatusCode code) {
   return "internal";
 }
 
-std::string ErrorResponseLine(const std::string* id, StatusCode code,
-                              std::string_view message) {
-  return ErrorResponseLine(id, code, message, /*trace_id=*/{});
+ResponseBuilder::ResponseBuilder(const std::string& id) : ResponseBuilder() {
+  AddString("id", id);
+  AddString("status", "ok");
+}
+
+ResponseBuilder ResponseBuilder::Error(const std::string* id, StatusCode code,
+                                       std::string_view message,
+                                       std::string_view trace_id) {
+  ResponseBuilder b;
+  b.AddStringOrNull("id", id);
+  b.AddString("status", "error");
+  b.AddString("code", WireCodeName(code));
+  b.AddString("message", message);
+  if (!trace_id.empty()) b.AddString("trace_id", trace_id);
+  return b;
 }
 
 std::string ErrorResponseLine(const std::string* id, StatusCode code,
                               std::string_view message,
                               std::string_view trace_id) {
-  std::string out = "{\"id\":";
-  if (id == nullptr) {
-    out += "null";
-  } else {
-    out += "\"" + JsonEscape(*id) + "\"";
-  }
-  out += ",\"status\":\"error\",\"code\":\"";
-  out += WireCodeName(code);
-  out += "\",\"message\":\"" + JsonEscape(message) + "\"";
-  if (!trace_id.empty()) {
-    out += ",\"trace_id\":\"" + JsonEscape(trace_id) + "\"";
-  }
-  out += "}";
-  return out;
+  return ResponseBuilder::Error(id, code, message, trace_id).Finish();
 }
 
-ResponseBuilder::ResponseBuilder(const std::string& id) {
-  out_ = "{\"id\":\"" + JsonEscape(id) + "\",\"status\":\"ok\"";
+void ResponseBuilder::Prefix(std::string_view key) {
+  if (!first_) out_ += ',';
+  first_ = false;
+  if (key.empty()) return;
+  out_ += '"';
+  JsonEscape(key, &out_);
+  out_ += "\":";
 }
 
-void ResponseBuilder::AddBool(std::string_view key, bool v) {
-  out_ += ",\"";
-  out_ += JsonEscape(key);
-  out_ += v ? "\":true" : "\":false";
-}
-
-void ResponseBuilder::AddUint(std::string_view key, uint64_t v) {
-  out_ += ",\"";
-  out_ += JsonEscape(key);
-  out_ += "\":" + std::to_string(v);
+void ResponseBuilder::AddFixed3(std::string_view key, double v) {
+  char buf[32];
+  const int n = std::snprintf(buf, sizeof(buf), "%.3f", v);
+  AddRaw(key, std::string_view(buf, static_cast<size_t>(n)));
 }
 
 void ResponseBuilder::AddString(std::string_view key, std::string_view v) {
-  out_ += ",\"";
-  out_ += JsonEscape(key);
-  out_ += "\":\"";
-  out_ += JsonEscape(v);
-  out_ += "\"";
+  Prefix(key);
+  out_ += '"';
+  JsonEscape(v, &out_);
+  out_ += '"';
+}
+
+void ResponseBuilder::AddStringOrNull(std::string_view key,
+                                      const std::string* v) {
+  if (v == nullptr) {
+    AddNull(key);
+  } else {
+    AddString(key, *v);
+  }
 }
 
 void ResponseBuilder::AddRaw(std::string_view key, std::string_view json) {
-  out_ += ",\"";
-  out_ += JsonEscape(key);
-  out_ += "\":";
+  Prefix(key);
   out_ += json;
 }
 
+void ResponseBuilder::Open(std::string_view key, char bracket) {
+  Prefix(key);
+  out_ += bracket;
+  first_ = true;
+}
+
+void ResponseBuilder::Close(char bracket) {
+  out_ += bracket;
+  first_ = false;
+}
+
 std::string ResponseBuilder::Finish() {
-  out_ += "}";
+  out_ += '}';
   return std::move(out_);
 }
 

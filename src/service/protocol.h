@@ -35,6 +35,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/json.h"
 #include "common/obs.h"
 #include "common/result.h"
 #include "common/status.h"
@@ -58,8 +59,8 @@ enum class RequestOp {
 // vector.
 inline constexpr size_t kMaxTraceIdBytes = 128;
 
-// 1 to kMaxTraceIdBytes visible-ASCII bytes, excluding '"' and '\\' so the
-// id can be spliced verbatim into JSON responses, trace exports and log
+// 1 to kMaxTraceIdBytes visible-ASCII bytes, excluding '"' and '\\', so a
+// client id reads the same (unescaped) in responses, trace exports and log
 // lines. Parse-time gate for the wire field; also used for best-effort
 // trace_id recovery on lines that failed full parsing.
 bool IsValidTraceId(std::string_view id);
@@ -112,39 +113,70 @@ struct ServiceRequest {
 // owes the client a response line (see ErrorResponseLine).
 Result<ServiceRequest> ParseRequestLine(std::string_view line);
 
-// JSON string escaping for everything the service writes to the wire.
-std::string JsonEscape(std::string_view s);
-
 // Stable wire name of a status code ("invalid_argument",
 // "resource_exhausted", ...).
 const char* WireCodeName(StatusCode code);
 
-// {"id":<id or null>,"status":"error","code":...,"message":...}
-// `id` == nullptr means the id could not be recovered from the line.
-// A non-empty `trace_id` appends ,"trace_id":"..." — the echo contract
-// holds on error lines too.
-std::string ErrorResponseLine(const std::string* id, StatusCode code,
-                              std::string_view message);
-std::string ErrorResponseLine(const std::string* id, StatusCode code,
-                              std::string_view message,
-                              std::string_view trace_id);
-
-// Incremental builder for ok responses:
+// Writer for the service's compact JSON lines: wire responses and
+// event-log records. Members are written in call order with no whitespace,
+// so the bytes are deterministic. Strings are escaped with JsonEscape.
 //   ResponseBuilder b(id); b.AddBool("satisfiable", true); b.Finish();
-// Field order is insertion order, so response bytes are deterministic.
+// Inside an array (BeginArray), the key-less element overloads append
+// elements; everywhere else the keyed calls add object members.
 class ResponseBuilder {
  public:
+  // An empty object: "{".
+  ResponseBuilder() : out_("{") {}
+  // An ok response: {"id":"<id>","status":"ok".
   explicit ResponseBuilder(const std::string& id);
-  void AddBool(std::string_view key, bool v);
-  void AddUint(std::string_view key, uint64_t v);
+  // An error response: {"id":<id or null>,"status":"error","code":...,
+  // "message":...[,"trace_id":...]; `id` == nullptr writes null. Further
+  // members may follow before Finish().
+  static ResponseBuilder Error(const std::string* id, StatusCode code,
+                               std::string_view message,
+                               std::string_view trace_id = {});
+
+  void AddNull(std::string_view key) { AddRaw(key, "null"); }
+  void AddBool(std::string_view key, bool v) {
+    AddRaw(key, v ? "true" : "false");
+  }
+  void AddUint(std::string_view key, uint64_t v) {
+    AddRaw(key, std::to_string(v));
+  }
+  // `v` with exactly three decimals ("%.3f").
+  void AddFixed3(std::string_view key, double v);
   void AddString(std::string_view key, std::string_view v);
-  // Pre-rendered JSON (arrays, nested objects); caller owns validity.
+  // AddString, or AddNull when `v` is null.
+  void AddStringOrNull(std::string_view key, const std::string* v);
+  // Pre-rendered JSON (a StatsReport, a trace); caller owns validity.
   void AddRaw(std::string_view key, std::string_view json);
-  std::string Finish();  // Closes the object; builder is spent.
+  void BeginObject(std::string_view key) { Open(key, '{'); }
+  void BeginArray(std::string_view key) { Open(key, '['); }
+  // Array elements.
+  void AddUint(uint64_t v) { AddRaw({}, std::to_string(v)); }
+  void BeginObject() { Open({}, '{'); }
+  void BeginArray() { Open({}, '['); }
+  void EndObject() { Close('}'); }
+  void EndArray() { Close(']'); }
+  std::string Finish();  // Closes the top-level object; builder is spent.
 
  private:
+  // Writes the separator, then `"key":` unless `key` is empty (an array
+  // element).
+  void Prefix(std::string_view key);
+  void Open(std::string_view key, char bracket);
+  void Close(char bracket);
+
   std::string out_;
+  bool first_ = true;  // Nothing written yet in the open container.
 };
+
+// {"id":<id or null>,"status":"error","code":...,"message":...} — the
+// finished ResponseBuilder::Error. A non-empty `trace_id` appends
+// ,"trace_id":"..." — the echo contract holds on error lines too.
+std::string ErrorResponseLine(const std::string* id, StatusCode code,
+                              std::string_view message,
+                              std::string_view trace_id = {});
 
 }  // namespace ecrpq
 

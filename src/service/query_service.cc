@@ -68,20 +68,15 @@ class GraphWriteClaim {
   QueryService::GraphEntry* entry_;
 };
 
-std::string AnswersToJson(
-    const std::vector<std::vector<VertexId>>& answers) {
-  std::string out = "[";
-  for (size_t i = 0; i < answers.size(); ++i) {
-    if (i > 0) out += ",";
-    out += "[";
-    for (size_t j = 0; j < answers[i].size(); ++j) {
-      if (j > 0) out += ",";
-      out += std::to_string(answers[i][j]);
-    }
-    out += "]";
+void AnswersToJson(const std::vector<std::vector<VertexId>>& answers,
+                   ResponseBuilder* b) {
+  b->BeginArray("answers");
+  for (const std::vector<VertexId>& answer : answers) {
+    b->BeginArray();
+    for (const VertexId v : answer) b->AddUint(v);
+    b->EndArray();
   }
-  out += "]";
-  return out;
+  b->EndArray();
 }
 
 uint64_t UnixMillisNow() {
@@ -91,14 +86,6 @@ uint64_t UnixMillisNow() {
           .count());
 }
 
-// Milliseconds with microsecond resolution, as a bare JSON number.
-std::string MillisString(uint64_t ns) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3f",
-                static_cast<double>(ns) / 1e6);
-  return buf;
-}
-
 std::string HexHash64(uint64_t h) {
   char buf[20];
   std::snprintf(buf, sizeof(buf), "%016llx",
@@ -106,21 +93,24 @@ std::string HexHash64(uint64_t h) {
   return buf;
 }
 
+// Milliseconds with microsecond resolution.
+double Millis(uint64_t ns) { return static_cast<double>(ns) / 1e6; }
+
 // Compact top-of-profile summary for event-log records: the four largest
 // folded phases by self time (the profile is already sorted that way).
-std::string PhasesJson(const obs::PhaseProfile& profile) {
-  std::string out = "[";
+void PhasesJson(const obs::PhaseProfile& profile, ResponseBuilder* b) {
+  b->BeginArray("phases");
   const size_t n = std::min<size_t>(profile.folded.size(), 4);
   for (size_t i = 0; i < n; ++i) {
     const obs::PhaseStats& p = profile.folded[i];
-    if (i > 0) out += ",";
-    out += "{\"name\":\"" + JsonEscape(p.name) +
-           "\",\"count\":" + std::to_string(p.count) +
-           ",\"total_ms\":" + MillisString(p.total_ns) +
-           ",\"self_ms\":" + MillisString(p.self_ns) + "}";
+    b->BeginObject();
+    b->AddString("name", p.name);
+    b->AddUint("count", p.count);
+    b->AddFixed3("total_ms", Millis(p.total_ns));
+    b->AddFixed3("self_ms", Millis(p.self_ns));
+    b->EndObject();
   }
-  out += "]";
-  return out;
+  b->EndArray();
 }
 
 // Everything one "query" event-log record carries; filled progressively
@@ -143,42 +133,38 @@ struct QueryEventData {
   uint64_t cache_misses = 0;
   uint64_t cache_evictions = 0;
   uint64_t num_answers = 0;
-  std::string phases_json;  // Empty -> [].
 };
 
-std::string RenderQueryEvent(uint64_t ts_ms, const QueryEventData& d) {
-  std::string out = "{\"event\":\"query\"";
-  out += ",\"ts_ms\":" + std::to_string(ts_ms);
-  out += ",\"trace_id\":\"" + JsonEscape(d.trace_id) + "\"";
-  out += ",\"request_id\":\"" + JsonEscape(d.request_id) + "\"";
-  out += ",\"graph\":\"" + JsonEscape(d.graph) + "\"";
-  out += ",\"query_key_hash\":";
-  out += d.query_key_hash.empty() ? "null" : "\"" + d.query_key_hash + "\"";
-  out += ",\"verdict\":";
-  out += d.verdict_json.empty() ? "null" : d.verdict_json;
-  out += ",\"engine\":\"" + JsonEscape(d.engine) + "\"";
-  out += ",\"status\":\"";
-  out += d.status_code;
-  out += "\"";
-  if (!d.message.empty()) {
-    out += ",\"message\":\"" + JsonEscape(d.message) + "\"";
-  }
-  out += ",\"latency_ms\":" + MillisString(d.latency_ns);
-  out += ",\"queue_ms\":" + MillisString(d.queue_ns);
-  out += ",\"cache\":{\"hits\":" + std::to_string(d.cache_hits) +
-         ",\"misses\":" + std::to_string(d.cache_misses) +
-         ",\"evictions\":" + std::to_string(d.cache_evictions) + "}";
-  out += ",\"budget\":{\"outcome\":\"";
-  out += d.budget_outcome;
-  out += "\",\"reason\":";
-  out += d.budget_reason.empty() ? "null"
-                                 : "\"" + JsonEscape(d.budget_reason) + "\"";
-  out += "}";
-  out += ",\"num_answers\":" + std::to_string(d.num_answers);
-  out += ",\"phases\":";
-  out += d.phases_json.empty() ? "[]" : d.phases_json;
-  out += "}";
-  return out;
+std::string RenderQueryEvent(uint64_t ts_ms, const QueryEventData& d,
+                             const obs::PhaseProfile& phases) {
+  ResponseBuilder b;
+  b.AddString("event", "query");
+  b.AddUint("ts_ms", ts_ms);
+  b.AddString("trace_id", d.trace_id);
+  b.AddString("request_id", d.request_id);
+  b.AddString("graph", d.graph);
+  b.AddStringOrNull("query_key_hash", d.query_key_hash.empty()
+                                          ? nullptr
+                                          : &d.query_key_hash);
+  b.AddRaw("verdict", d.verdict_json.empty() ? "null" : d.verdict_json);
+  b.AddString("engine", d.engine);
+  b.AddString("status", d.status_code);
+  if (!d.message.empty()) b.AddString("message", d.message);
+  b.AddFixed3("latency_ms", Millis(d.latency_ns));
+  b.AddFixed3("queue_ms", Millis(d.queue_ns));
+  b.BeginObject("cache");
+  b.AddUint("hits", d.cache_hits);
+  b.AddUint("misses", d.cache_misses);
+  b.AddUint("evictions", d.cache_evictions);
+  b.EndObject();
+  b.BeginObject("budget");
+  b.AddString("outcome", d.budget_outcome);
+  b.AddStringOrNull("reason",
+                    d.budget_reason.empty() ? nullptr : &d.budget_reason);
+  b.EndObject();
+  b.AddUint("num_answers", d.num_answers);
+  PhasesJson(phases, &b);
+  return b.Finish();
 }
 
 std::string RenderProtocolErrorEvent(uint64_t ts_ms,
@@ -186,17 +172,14 @@ std::string RenderProtocolErrorEvent(uint64_t ts_ms,
                                      const std::string& trace_id,
                                      StatusCode code,
                                      std::string_view message) {
-  std::string out = "{\"event\":\"protocol_error\"";
-  out += ",\"ts_ms\":" + std::to_string(ts_ms);
-  out += ",\"trace_id\":";
-  out += trace_id.empty() ? "null" : "\"" + JsonEscape(trace_id) + "\"";
-  out += ",\"request_id\":";
-  out += request_id == nullptr ? "null"
-                               : "\"" + JsonEscape(*request_id) + "\"";
-  out += ",\"status\":\"";
-  out += WireCodeName(code);
-  out += "\",\"message\":\"" + JsonEscape(message) + "\"}";
-  return out;
+  ResponseBuilder b;
+  b.AddString("event", "protocol_error");
+  b.AddUint("ts_ms", ts_ms);
+  b.AddStringOrNull("trace_id", trace_id.empty() ? nullptr : &trace_id);
+  b.AddStringOrNull("request_id", request_id);
+  b.AddString("status", WireCodeName(code));
+  b.AddString("message", message);
+  return b.Finish();
 }
 
 }  // namespace
@@ -384,6 +367,10 @@ Result<std::string> ServiceSession::ExecuteQuery(const ServiceRequest& req) {
       !telemetry ? std::string()
                  : (req.trace_id.empty() ? "auto:" + req.id : req.trace_id);
   const uint64_t flight_start_ns = telemetry ? recorder_.NowNs() : 0;
+  // The event-log-only fields (query hash, verdict, cache counters, phase
+  // summary) are computed only when a log will receive them.
+  obs::EventLog* const event_log =
+      telemetry ? service_->event_log_.get() : nullptr;
 
   obs::Session session;
   obs::MetricsShard* session_shard = session.metrics().AcquireShard();
@@ -456,7 +443,7 @@ Result<std::string> ServiceSession::ExecuteQuery(const ServiceRequest& req) {
 
     Result<EcrpqQuery> query = ParseEcrpq(req.query, db.alphabet());
     if (!query.ok()) return query.status();
-    if (telemetry) {
+    if (event_log != nullptr) {
       ev.query_key_hash = HexHash64(HashBytes(CanonicalQueryKey(*query)));
     }
 
@@ -478,7 +465,7 @@ Result<std::string> ServiceSession::ExecuteQuery(const ServiceRequest& req) {
       return EvaluateRoute(db, *query, route, options, &report);
     }();
     const bool classified = route.kind != EngineRoute::Kind::kFixed;
-    if (classified && telemetry) {
+    if (classified && event_log != nullptr) {
       ev.verdict_json = report.classification.ToJson();
     }
 
@@ -499,12 +486,11 @@ Result<std::string> ServiceSession::ExecuteQuery(const ServiceRequest& req) {
         // A tripped budget still owes the client its partial stats — the
         // "what had it done so far" channel, same as the CLI's exit-3
         // path.
-        std::string out =
-            ErrorResponseLine(&req.id, StatusCode::kResourceExhausted,
-                              result.status().message(), req.trace_id);
-        out.pop_back();  // Reopen the object for the extra member.
-        out += ",\"partial_stats\":" + session.Report().ToJson() + "}";
-        return out;
+        ResponseBuilder b = ResponseBuilder::Error(
+            &req.id, StatusCode::kResourceExhausted,
+            result.status().message(), req.trace_id);
+        b.AddRaw("partial_stats", session.Report().ToJson());
+        return b.Finish();
       }
       return result.status();
     }
@@ -514,7 +500,7 @@ Result<std::string> ServiceSession::ExecuteQuery(const ServiceRequest& req) {
     if (!req.trace_id.empty()) b.AddString("trace_id", req.trace_id);
     b.AddBool("satisfiable", result->satisfiable);
     b.AddUint("num_answers", result->answers.size());
-    b.AddRaw("answers", AnswersToJson(result->answers));
+    AnswersToJson(result->answers, &b);
     if (classified) {
       b.AddString("engine", EngineChoiceName(report.classification.engine));
     }
@@ -531,26 +517,25 @@ Result<std::string> ServiceSession::ExecuteQuery(const ServiceRequest& req) {
 
   if (telemetry) {
     const uint64_t dur_ns = recorder_.NowNs() - flight_start_ns;
-    ev.latency_ns = dur_ns;
-    ev.phases_json = PhasesJson(session.PhaseProfile());
-    const obs::StatsReport report = session.Report();
-    ev.cache_hits = report[obs::CounterId::kCacheHits];
-    ev.cache_misses = report[obs::CounterId::kCacheMisses];
-    ev.cache_evictions = report[obs::CounterId::kCacheEvictions];
     // Retain the finished trace for the `trace` op — errors included;
     // that is exactly when the span tree is wanted.
     RetainTrace(trace_id, session.trace()->ToJson(trace_id));
     RecordFlightEvent("query", flight_start_ns, dur_ns, ++request_seq_);
     if (dump_postmortem) MaybeDumpPostmortem(trace_id);
-    obs::EventLog* log = service_->event_log_.get();
-    if (log != nullptr) {
+    if (event_log != nullptr) {
       const bool is_error = ev.status_code != std::string_view("ok");
       const int64_t latency_ms =
           static_cast<int64_t>(dur_ns / uint64_t{1000000});
       // Errors and budget outcomes always log; ok queries only when they
       // crossed the slow threshold (0 = log everything).
       if (is_error || latency_ms >= service_->config_.slow_ms) {
-        log->Append(RenderQueryEvent(UnixMillisNow(), ev));
+        ev.latency_ns = dur_ns;
+        const obs::StatsReport report = session.Report();
+        ev.cache_hits = report[obs::CounterId::kCacheHits];
+        ev.cache_misses = report[obs::CounterId::kCacheMisses];
+        ev.cache_evictions = report[obs::CounterId::kCacheEvictions];
+        event_log->Append(
+            RenderQueryEvent(UnixMillisNow(), ev, session.PhaseProfile()));
         obs::Add(shard_, obs::CounterId::kTelemetryEventsLogged);
       }
     }

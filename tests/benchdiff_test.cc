@@ -51,14 +51,41 @@ TEST(JsonTest, RejectsMalformedInput) {
   EXPECT_FALSE(json::Parse("\"unterminated").ok());
   EXPECT_FALSE(json::Parse("1 trailing").ok());
   EXPECT_FALSE(json::Parse("nul").ok());
+  // RFC 8259 is the contract: strtod-style extensions (hex, leading
+  // zeros, bare dots, hex floats) and raw control characters inside
+  // strings are not JSON.
+  for (const char* bad :
+       {"0x10", "-0x1A", "01", "-01", "1.", "-.5", ".5", "0X1p4", "+1",
+        "1e", "1e+", "-", "Infinity", "NaN", "1e999", "[1.e3]",
+        "\"tab\there\"", "\"nl\nhere\"", "\"\x01\""}) {
+    EXPECT_FALSE(json::Parse(bad).ok()) << bad;
+  }
 }
 
 TEST(JsonTest, ParsesNegativeAndExponentNumbers) {
-  Result<json::Value> doc = json::Parse("[-2, 1e3, 0.25]");
+  Result<json::Value> doc =
+      json::Parse("[-2, 1e3, 0.25, 0, -0.0e0, 1.5e-3, 2E+2]");
   ASSERT_TRUE(doc.ok()) << doc.status();
   EXPECT_DOUBLE_EQ(doc->AsArray()[0].AsNumber(), -2);
   EXPECT_DOUBLE_EQ(doc->AsArray()[1].AsNumber(), 1000);
   EXPECT_DOUBLE_EQ(doc->AsArray()[2].AsNumber(), 0.25);
+  EXPECT_DOUBLE_EQ(doc->AsArray()[3].AsNumber(), 0);
+  EXPECT_DOUBLE_EQ(doc->AsArray()[4].AsNumber(), 0);
+  EXPECT_DOUBLE_EQ(doc->AsArray()[5].AsNumber(), 0.0015);
+  EXPECT_DOUBLE_EQ(doc->AsArray()[6].AsNumber(), 200);
+}
+
+TEST(JsonTest, EscapeRoundTripsEveryByte) {
+  std::string all;
+  for (int c = 1; c < 256; ++c) all.push_back(static_cast<char>(c));
+  const std::string escaped = JsonEscape(all);
+  for (const char c : escaped) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20) << escaped;
+  }
+  Result<json::Value> doc = json::Parse("\"" + escaped + "\"");
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  EXPECT_EQ(doc->AsString(), all);
+  EXPECT_EQ(JsonEscape("q\"\\\n\r\t\x1f"), "q\\\"\\\\\\n\\r\\t\\u001f");
 }
 
 // ---------------------------------------------------------------------------

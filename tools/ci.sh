@@ -4,7 +4,8 @@
 # --stats/--trace/--budget-*/profile), benchmark smoke run, service smoke
 # (batch driver round-trip, concurrent socket clients, warm-vs-cold
 # throughput gate, telemetry-overhead gate), telemetry smoke (wire trace-id
-# echo, prometheus exposition, event-log JSON-lines), perf-regression gate,
+# echo, prometheus exposition, event-log JSON-lines, postmortem dumps),
+# perf-regression gate,
 # lint, and the concurrency-contract stage (clang -Wthread-safety build when
 # clang is installed + tools/ecrpq_lint project rules + rule fixtures).
 #
@@ -293,7 +294,7 @@ PYEOF
 fi
 echo "service smoke passed."
 
-echo "== [9/13] telemetry smoke (trace-id echo + exposition + event log) =="
+echo "== [9/13] telemetry smoke (trace-id echo + exposition + event log + postmortems) =="
 TEL_TMP="build/telemetry-smoke"
 rm -rf "$TEL_TMP"
 mkdir -p "$TEL_TMP"
@@ -365,12 +366,37 @@ with open(trace_out, "w") as out:
 raw = rt('{"id":"t5","op":"query","query":"this is no query",'
          '"trace_id":"smoke-err"}')
 assert '"status":"error"' in raw and '"trace_id":"smoke-err"' in raw, raw
+# 6. A malformed line and a starved-budget query each dump a flight-recorder
+#    postmortem. The query's id holds an escaped newline, so its dump's
+#    trace id ("auto:t6\nx") must come out escaped too.
+raw = rt('this is not json')
+assert '"id":null' in raw and '"code":"parse_error"' in raw, raw
+raw = rt('{"id":"t6\\nx","op":"query","query":"q(x) := x -[/a*/]-> y",'
+         '"engine":"generic","budget_states":1}')
+assert '"code":"resource_exhausted"' in raw, raw
 rt('{"id":"bye","op":"shutdown"}')
 print("telemetry smoke: echo + exposition identities + trace op ok")
 PYEOF
 wait "$TEL_PID"
 # The served-back trace must pass the same schema gate as CLI traces.
 build/tools/ecrpq_cli trace-check "$TEL_TMP/trace.json"
+# So must every postmortem, and Python's strict loader (an oracle that
+# shares no code with ours) must accept each one.
+POSTMORTEMS=("$TEL_TMP"/postmortem_s*.json)
+if [ ! -e "${POSTMORTEMS[0]}" ]; then
+  echo "telemetry smoke: the server wrote no postmortem" >&2
+  exit 1
+fi
+for dump in "${POSTMORTEMS[@]}"; do
+  build/tools/ecrpq_cli trace-check "$dump"
+done
+python3 - "${POSTMORTEMS[@]}" <<'PYEOF'
+import json, sys
+for path in sys.argv[1:]:
+    with open(path) as f:
+        json.load(f)
+print(f"telemetry smoke: {len(sys.argv) - 1} postmortem(s) load as JSON")
+PYEOF
 # The event log is JSON-lines: every line parses, and both the ok query and
 # the error landed with their trace ids.
 python3 - "$TEL_TMP/events.jsonl" <<'PYEOF'
