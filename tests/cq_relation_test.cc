@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "cq/relational_db.h"
 
 namespace ecrpq {
@@ -29,6 +32,39 @@ TEST(RelationTest, TuplesSortedAfterFinalize) {
   EXPECT_EQ(r.Tuple(0)[0], 1u);
   EXPECT_EQ(r.Tuple(1)[0], 3u);
   EXPECT_EQ(r.Tuple(2)[0], 5u);
+}
+
+TEST(RelationTest, SortedDistinctInputKeepsItsRows) {
+  Relation r("R", 2);
+  const std::vector<std::vector<uint32_t>> rows = {
+      {0, 1}, {0, 3}, {1, 0}, {2, 2}, {7, 1}};
+  for (const auto& row : rows) r.Add(row);
+  r.Finalize();
+  r.CheckInvariants();
+  ASSERT_EQ(r.NumTuples(), rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_TRUE(std::equal(rows[i].begin(), rows[i].end(),
+                           r.Tuple(i).begin()));
+  }
+  EXPECT_EQ(r.Matches(0b001, {0}).size(), 2u);
+}
+
+TEST(RelationTest, UnsortedInputWithDuplicatesIsSortedAndDeduplicated) {
+  Relation r("R", 2);
+  for (const std::vector<uint32_t>& row :
+       std::vector<std::vector<uint32_t>>{
+           {2, 2}, {0, 3}, {2, 2}, {0, 1}, {0, 3}, {1, 0}, {0, 1}}) {
+    r.Add(row);
+  }
+  r.Finalize();
+  r.CheckInvariants();
+  const std::vector<std::vector<uint32_t>> want = {
+      {0, 1}, {0, 3}, {1, 0}, {2, 2}};
+  ASSERT_EQ(r.NumTuples(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_TRUE(std::equal(want[i].begin(), want[i].end(),
+                           r.Tuple(i).begin()));
+  }
 }
 
 TEST(RelationTest, MatchesByBoundPattern) {
