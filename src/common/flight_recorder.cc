@@ -29,10 +29,17 @@ void FlightRecorder::Record(const char* name, int tid, uint64_t start_ns,
   const uint64_t claim = next_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[claim % capacity_];
   // Invalidate first so a reader racing this write sees "in flux", not a
-  // stale-payload/new-seq mix.
-  slot.seq.store(0, std::memory_order_release);
-  slot.event = TraceEvent{name, tid, start_ns, dur_ns, arg, true, claim + 1};
-  slot.seq.store(claim + 1, std::memory_order_release);
+  // stale-payload/new-seq mix. Release stores keep the invalidation ahead
+  // of every payload word.
+  constexpr auto kRelease = std::memory_order_release;
+  slot.seq.store(0, std::memory_order_relaxed);
+  slot.name.store(name, kRelease);
+  slot.tid.store(tid, kRelease);
+  slot.start_ns.store(start_ns, kRelease);
+  slot.dur_ns.store(dur_ns, kRelease);
+  slot.arg.store(arg, kRelease);
+  slot.has_arg.store(true, kRelease);
+  slot.seq.store(claim + 1, kRelease);
 }
 
 std::string FlightRecorder::ToTraceJson(std::string_view trace_id) const {
@@ -44,10 +51,16 @@ std::string FlightRecorder::ToTraceJson(std::string_view trace_id) const {
     const Slot& slot = slots_[i % capacity_];
     const uint64_t seq_before = slot.seq.load(std::memory_order_acquire);
     if (seq_before != i + 1) continue;  // Overwritten or mid-write: skip.
-    const TraceEvent e = slot.event;
+    // Acquire loads keep the stamp re-check below after every payload
+    // word.
+    constexpr auto kAcquire = std::memory_order_acquire;
+    const TraceEvent e{slot.name.load(kAcquire),     slot.tid.load(kAcquire),
+                       slot.start_ns.load(kAcquire), slot.dur_ns.load(kAcquire),
+                       slot.arg.load(kAcquire),      slot.has_arg.load(kAcquire),
+                       seq_before};
     // A writer lapping us invalidates seq first, so an unchanged stamp
     // means the payload we copied was not torn.
-    if (slot.seq.load(std::memory_order_acquire) != seq_before) continue;
+    if (slot.seq.load(std::memory_order_relaxed) != seq_before) continue;
     if (e.name == nullptr) continue;
     window.push_back(e);
   }

@@ -79,11 +79,21 @@ class FlightRecorder {
   static void InstallFatalSignalDump(const std::string& path);
 
  private:
+  // A seqlock slot. The payload is one relaxed-or-ordered atomic word per
+  // TraceEvent field, so a reader racing a writer reads stale or mixed
+  // words (and then drops the slot on the stamp re-check) but never races
+  // in the C++ sense.
   struct Slot {
     // seq == claim index + 1, published AFTER the payload; 0 = never
-    // written. The reader re-checks it around the payload read.
+    // written or being rewritten. The reader re-checks it around the
+    // payload read.
     std::atomic<uint64_t> seq{0};
-    TraceEvent event{};
+    std::atomic<const char*> name{nullptr};
+    std::atomic<int> tid{0};
+    std::atomic<uint64_t> start_ns{0};
+    std::atomic<uint64_t> dur_ns{0};
+    std::atomic<uint64_t> arg{0};
+    std::atomic<bool> has_arg{false};
   };
 
   const size_t capacity_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
 #include <unordered_set>
 
 #include "common/check.h"
@@ -16,10 +17,11 @@ constexpr uint32_t kUnset = ~uint32_t{0};
 // relaxed flag load on every node).
 constexpr size_t kCqBudgetStride = 4096;
 
-// Greedy join order: repeatedly pick the atom with the most already-bound
-// variables, breaking ties by smaller relation.
-std::vector<size_t> OrderAtoms(const RelationalDb& db, const CqQuery& query) {
-  const size_t n = query.atoms.size();
+}  // namespace
+
+std::vector<size_t> OrderAtoms(const RelationalDb& db, const CqQuery& query,
+                               const std::vector<size_t>& ids) {
+  const size_t n = ids.size();
   std::vector<bool> used(n, false);
   std::vector<bool> bound(query.num_vars, false);
   std::vector<size_t> order;
@@ -28,35 +30,36 @@ std::vector<size_t> OrderAtoms(const RelationalDb& db, const CqQuery& query) {
     size_t best = n;
     long best_unbound = 0;
     size_t best_size = 0;
-    for (size_t a = 0; a < n; ++a) {
-      if (used[a]) continue;
+    for (size_t i = 0; i < n; ++i) {
+      if (used[i]) continue;
+      const CqAtom& atom = query.atoms[ids[i]];
       long unbound = 0;
-      for (CqVarId v : query.atoms[a].vars) {
+      for (CqVarId v : atom.vars) {
         if (!bound[v]) ++unbound;
       }
-      const size_t size = db.Find(query.atoms[a].relation)->NumTuples();
+      const size_t size = db.Find(atom.relation)->NumTuples();
       if (best == n || unbound < best_unbound ||
           (unbound == best_unbound && size < best_size)) {
-        best = a;
+        best = i;
         best_unbound = unbound;
         best_size = size;
       }
     }
     used[best] = true;
-    order.push_back(best);
-    for (CqVarId v : query.atoms[best].vars) bound[v] = true;
+    order.push_back(ids[best]);
+    for (CqVarId v : query.atoms[ids[best]].vars) bound[v] = true;
   }
   return order;
 }
-
-}  // namespace
 
 Result<CqEvalResult> CqEvaluateBacktracking(const RelationalDb& db,
                                             const CqQuery& query,
                                             const CqEvalOptions& options) {
   ECRPQ_RETURN_NOT_OK(ValidateCq(db, query));
   CqEvalResult result;
-  const std::vector<size_t> order = OrderAtoms(db, query);
+  std::vector<size_t> all_atoms(query.atoms.size());
+  std::iota(all_atoms.begin(), all_atoms.end(), 0);
+  const std::vector<size_t> order = OrderAtoms(db, query, all_atoms);
   std::vector<uint32_t> assignment(query.num_vars, kUnset);
   std::unordered_set<std::vector<uint32_t>, VectorHash<uint32_t>> answers;
 

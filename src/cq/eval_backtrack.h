@@ -36,6 +36,12 @@ struct CqEvalResult {
   bool aborted = false;
 };
 
+// Greedy join order over query.atoms[ids] (ids ascending): repeatedly the
+// atom with the fewest unbound variable occurrences, ties to the smaller
+// relation, then to the earlier id. Returns the ids in join order.
+std::vector<size_t> OrderAtoms(const RelationalDb& db, const CqQuery& query,
+                               const std::vector<size_t>& ids);
+
 Result<CqEvalResult> CqEvaluateBacktracking(const RelationalDb& db,
                                             const CqQuery& query,
                                             const CqEvalOptions& options = {});

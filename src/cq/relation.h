@@ -7,6 +7,7 @@
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -27,8 +28,9 @@ class Relation {
 
   void Add(std::span<const uint32_t> tuple);
 
-  // Sorts and deduplicates. Must be called before queries; adding after
-  // finalization is an error.
+  // Sorts and deduplicates (rows added in strictly increasing order are
+  // kept as they are, without a sort or a copy). Must be called before
+  // queries; adding after finalization is an error.
   void Finalize();
   bool finalized() const { return finalized_; }
 
@@ -37,6 +39,11 @@ class Relation {
   }
 
   bool Contains(std::span<const uint32_t> tuple) const;
+
+  // Rows whose first prefix.size() values equal `prefix`, as the row range
+  // [first, last): finalized rows are sorted, so they are contiguous.
+  std::pair<size_t, size_t> PrefixRange(
+      std::span<const uint32_t> prefix) const;
 
   // Rows whose values at the positions in `mask` (bit i = position i bound)
   // equal `key` (the bound values, in position order). Builds and caches an

@@ -13,7 +13,10 @@
 #include "common/obs.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "eval/crpq_eval.h"
 #include "eval/generic_eval.h"
+#include "graphdb/generators.h"
+#include "query/parser.h"
 #include "workloads/db_gen.h"
 #include "workloads/query_gen.h"
 
@@ -485,6 +488,29 @@ TEST(ObsHistogramTest, EvaluationPopulatesHistograms) {
   EXPECT_FALSE(report.hist(HistogramId::kPhaseNfaBuildNs).Empty());
   // Every BFS pop saw a non-empty queue, so frontier sizes are >= 1.
   EXPECT_EQ(report.hist(HistogramId::kFrontierSize).buckets[0], 0u);
+}
+
+// On the CRPQ pipeline, answer_latency gets one sample per distinct answer
+// of the join, not one per materialized bag tuple.
+TEST(ObsHistogramTest, AnswerLatencyCountsAnswersOnTheCrpqPipeline) {
+  const GraphDb db = CycleGraph(16, "ab");
+  Result<EcrpqQuery> query =
+      ParseEcrpq("q(x, z) := x -[/a/]-> y, y -[/b/]-> z",
+                 Alphabet::OfChars("ab"));
+  ASSERT_TRUE(query.ok()) << query.status();
+
+  obs::Session session;
+  EvalOptions options;
+  options.obs = &session;
+  Result<EvalResult> result = EvaluateCrpq(db, *query, options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_FALSE(result->answers.empty());
+
+  const obs::StatsReport report = session.Report();
+  EXPECT_EQ(report.hist(HistogramId::kAnswerLatencyNs).Count(),
+            result->answers.size());
+  EXPECT_GT(report[obs::CounterId::kBagTuplesMaterialized],
+            result->answers.size());
 }
 
 // ---------------------------------------------------------------------------
